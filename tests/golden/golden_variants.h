@@ -156,6 +156,22 @@ inline std::vector<PrivateVariant> PrivateVariants() {
     c.sampling_scheme = core::SamplingScheme::kFixedBatch;
     variants.push_back({"mog_fixed_batch", c});
   }
+  {
+    // pld_fft: the Koskela et al. subsampled-Gaussian PLD. Under Poisson
+    // sampling it is the MoG dominating pair, so its ε must match "mog".
+    core::PlpConfig c = GoldenPrivateBase();
+    c.accountant = "pld_fft";
+    variants.push_back({"pld_fft", c});
+  }
+  {
+    // pld_fft under a σ 2.0 → 1.0 schedule: one PLD per distinct σ_t.
+    core::PlpConfig c = GoldenPrivateBase();
+    c.accountant = "pld_fft";
+    c.noise_scale = 2.0;
+    c.noise_scale_final = 1.0;
+    c.noise_decay_steps = 8;
+    variants.push_back({"pld_fft_schedule", c});
+  }
   return variants;
 }
 
