@@ -1,5 +1,6 @@
 // Ablation A3 (Sections 2.3 and 6): moments accountant vs classic
-// composition theorems — and the FFT privacy-loss-distribution accountant.
+// composition theorems — and the FFT-composed privacy-loss-distribution
+// accountant.
 //
 // For the paper's training regime (subsampled Gaussian mechanism with
 // q ∈ {0.06, 0.10}, σ ∈ {1.5, 2.5}, δ = 2·10⁻⁴) this prints how many
@@ -7,7 +8,9 @@
 // exceeded. The moments accountant (RDP) admits orders of magnitude more
 // steps than naive composition and far more than advanced composition —
 // the enabling observation of [Abadi et al. 2016] that PLP builds on. The
-// pld_fft column (Koskela et al., arXiv:1906.03049) is tighter still.
+// mog column is tighter still: under Poisson sampling its dominating pair
+// is the subsampled-Gaussian PLD of Koskela et al. (arXiv:1906.03049), so
+// it is also the "pld_fft" accountant, which runs the same stage.
 //
 // The accountant columns run the same pipeline::Accountant stages the
 // training engine uses — selected by PlpConfig::accountant exactly as a
@@ -72,7 +75,7 @@ pipeline::RoundRecord FirstRound(const core::PlpConfig& config) {
 /// Largest round count the configured Accountant stage admits inside the
 /// budget, by binary search over [0, max_steps]. Each probe builds a fresh
 /// accountant and advances it through the bulk TrackRounds path, so a
-/// probe costs one ε conversion (one FFT composition for pld_fft/mog)
+/// probe costs one ε conversion (one FFT composition for mog)
 /// instead of one per round.
 int64_t StepsAdmitted(const core::PlpConfig& config, int64_t max_steps) {
   const pipeline::RoundRecord first = FirstRound(config);
@@ -119,7 +122,7 @@ void Run(int argc, char** argv) {
       kDelta, static_cast<long long>(max_steps));
 
   TablePrinter table({"q", "sigma", "eps_budget", "naive", "advanced",
-                      "rdp_classic", "rdp_improved", "pld_fft", "mog"});
+                      "rdp_classic", "rdp_improved", "mog"});
   for (double q : {0.06, 0.10}) {
     for (double sigma : {1.5, 2.5}) {
       // Per-release ε of the subsampled Gaussian for the composition
@@ -139,10 +142,6 @@ void Run(int argc, char** argv) {
                 max_steps))
             .AddCell(StepsAdmitted(
                 AccountingConfig("rdp", privacy::RdpConversion::kImproved,
-                                 q, sigma, eps),
-                max_steps))
-            .AddCell(StepsAdmitted(
-                AccountingConfig("pld_fft", privacy::RdpConversion::kClassic,
                                  q, sigma, eps),
                 max_steps))
             .AddCell(StepsAdmitted(
@@ -198,16 +197,17 @@ void Run(int argc, char** argv) {
   std::printf(
       "\nClaim: the moments accountant admits far more training steps than "
       "either composition theorem at every budget — which is what makes "
-      "iterative private learning feasible at all. pld_fft composes the "
-      "exact privacy-loss distribution and beats the classic RDP "
-      "conversion throughout; at large step counts its pessimistic "
-      "grid rounding (error linear in steps) can concede the lead to the "
-      "improved RDP conversion. The mog column composes the group-level "
-      "Mixture-of-Gaussians PLD (Ganesh, arXiv:2401.10294) of the "
-      "pipeline's all-or-nothing participation law (whole users are "
-      "sampled, all omega parts of a sampled user enter the round), which "
-      "under Poisson coincides with pld_fft's dominating pair at every "
-      "omega. In the grid above it admits strictly more steps than the "
+      "iterative private learning feasible at all. The mog column "
+      "composes the group-level Mixture-of-Gaussians PLD (Ganesh, "
+      "arXiv:2401.10294) of the pipeline's all-or-nothing participation "
+      "law (whole users are sampled, all omega parts of a sampled user "
+      "enter the round). Under Poisson that is exactly the "
+      "subsampled-Gaussian PLD of Koskela et al., so the pld_fft "
+      "accountant is the same stage and admits the same steps. It beats "
+      "the classic RDP conversion throughout; at large step counts its "
+      "pessimistic grid rounding (error linear in steps) can concede the "
+      "lead to the improved RDP conversion. In the grid above it admits "
+      "strictly more steps than the "
       "classic RDP bound in every cell — flat in omega, since sigma is "
       "already the joint-sensitivity multiplier — while also covering "
       "fixed-batch sampling, which no Poisson-only accountant may "

@@ -285,7 +285,9 @@ void BM_LocalOverlayTouch(benchmark::State& state) {
       local.MutableInRow(
           static_cast<int32_t>(rng.UniformInt(uint64_t{5069})))[0] += 0.1;
     }
-    benchmark::DoNotOptimize(local.ExtractDelta());
+    sgns::SparseDelta delta(model.dim());
+    local.ExtractDeltaInto(delta);
+    benchmark::DoNotOptimize(delta);
   }
 }
 BENCHMARK(BM_LocalOverlayTouch);

@@ -1,14 +1,46 @@
 #include "core/bucket_update.h"
 
 #include <algorithm>
-#include <cmath>
 #include <span>
+#include <vector>
 
 #include "sgns/local_model.h"
 #include "sgns/loss.h"
+#include "sgns/pairs.h"
 
 namespace plp::core {
 namespace {
+
+/// Pairs for one bucket into caller-owned buffers: `out` is cleared and
+/// pre-reserved from the exact window pair count, `flat_scratch` is reused
+/// for the concatenation below. Paper-literal mode concatenates the
+/// bucket's sentences into a single array before applying the window
+/// (Section 4.1: "Grouped data in each bucket is organized as a single
+/// array ... a symmetric moving window is applied to create training
+/// examples, after the array is read by the generateBatches() function").
+void BucketPairsInto(const Bucket& bucket, const PlpConfig& config,
+                     std::vector<int32_t>& flat_scratch,
+                     std::vector<sgns::Pair>& out) {
+  out.clear();
+  if (config.cross_user_windows) {
+    flat_scratch.clear();
+    flat_scratch.reserve(static_cast<size_t>(bucket.num_tokens()));
+    for (const auto& s : bucket.sentences) {
+      flat_scratch.insert(flat_scratch.end(), s.begin(), s.end());
+    }
+    out.reserve(sgns::PairCount(flat_scratch.size(), config.sgns.window));
+    sgns::AppendPairs(flat_scratch, config.sgns.window, out);
+    return;
+  }
+  size_t total = 0;
+  for (const auto& s : bucket.sentences) {
+    total += sgns::PairCount(s.size(), config.sgns.window);
+  }
+  out.reserve(total);
+  for (const auto& s : bucket.sentences) {
+    sgns::AppendPairs(s, config.sgns.window, out);
+  }
+}
 
 /// Local SGD over the bucket's batches starting from θ_t (lines 15–22).
 /// The pair list lives in `scratch` when one is given; batches are spans
@@ -53,50 +85,6 @@ sgns::BatchStats TrainLocally(Model& phi, const Bucket& bucket,
 
 }  // namespace
 
-std::vector<sgns::Pair> BucketPairs(const Bucket& bucket,
-                                    const PlpConfig& config) {
-  std::vector<sgns::Pair> pairs;
-  std::vector<int32_t> flat;
-  BucketPairsInto(bucket, config, flat, pairs);
-  return pairs;
-}
-
-void BucketPairsInto(const Bucket& bucket, const PlpConfig& config,
-                     std::vector<int32_t>& flat_scratch,
-                     std::vector<sgns::Pair>& out) {
-  out.clear();
-  if (config.cross_user_windows) {
-    flat_scratch.clear();
-    flat_scratch.reserve(static_cast<size_t>(bucket.num_tokens()));
-    for (const auto& s : bucket.sentences) {
-      flat_scratch.insert(flat_scratch.end(), s.begin(), s.end());
-    }
-    out.reserve(sgns::PairCount(flat_scratch.size(), config.sgns.window));
-    sgns::AppendPairs(flat_scratch, config.sgns.window, out);
-    return;
-  }
-  size_t total = 0;
-  for (const auto& s : bucket.sentences) {
-    total += sgns::PairCount(s.size(), config.sgns.window);
-  }
-  out.reserve(total);
-  for (const auto& s : bucket.sentences) {
-    sgns::AppendPairs(s, config.sgns.window, out);
-  }
-}
-
-sgns::SparseDelta ComputeRawBucketDelta(const sgns::SgnsModel& theta,
-                                        const Bucket& bucket,
-                                        const PlpConfig& config,
-                                        int32_t num_locations, Rng& rng,
-                                        double* loss_out,
-                                        sgns::TrainScratch* scratch) {
-  sgns::SparseDelta delta(config.sgns.embedding_dim);
-  ComputeRawBucketDeltaInto(theta, bucket, config, num_locations, rng,
-                            loss_out, scratch, delta);
-  return delta;
-}
-
 void ComputeRawBucketDeltaInto(const sgns::SgnsModel& theta,
                                const Bucket& bucket, const PlpConfig& config,
                                int32_t num_locations, Rng& rng,
@@ -132,21 +120,6 @@ void ComputeRawBucketDeltaInto(const sgns::SgnsModel& theta,
   if (loss_out != nullptr) {
     *loss_out = stats.mean_loss();
   }
-}
-
-sgns::SparseDelta ComputeBucketUpdate(const sgns::SgnsModel& theta,
-                                      const Bucket& bucket,
-                                      const PlpConfig& config,
-                                      int32_t num_locations, Rng& rng,
-                                      double* loss_out,
-                                      sgns::TrainScratch* scratch) {
-  sgns::SparseDelta delta = ComputeRawBucketDelta(
-      theta, bucket, config, num_locations, rng, loss_out, scratch);
-  // Per-layer clipping (Section 4.1): each of the |θ| = 3 tensors is
-  // clipped to C/√3 so the overall delta norm is at most C.
-  delta.ClipPerTensor(config.clip_norm /
-                      std::sqrt(static_cast<double>(sgns::kNumTensors)));
-  return delta;
 }
 
 uint64_t BucketSeed(uint64_t step_seed, const Bucket& bucket) {

@@ -2,53 +2,26 @@
 #define PLP_CORE_BUCKET_UPDATE_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "common/rng.h"
 #include "core/config.h"
 #include "core/grouping.h"
 #include "sgns/model.h"
 #include "sgns/negative_sampler.h"
-#include "sgns/pairs.h"
 #include "sgns/sparse_delta.h"
 #include "sgns/train_scratch.h"
 
 namespace plp::core {
 
-/// Pairs for one bucket. Paper-literal mode concatenates the bucket's
-/// sentences into a single array before applying the window (Section 4.1:
-/// "Grouped data in each bucket is organized as a single array ... a
-/// symmetric moving window is applied to create training examples, after
-/// the array is read by the generateBatches() function").
-std::vector<sgns::Pair> BucketPairs(const Bucket& bucket,
-                                    const PlpConfig& config);
-
-/// BucketPairs into caller-owned buffers: `out` is cleared and pre-reserved
-/// from the exact window pair count, `flat_scratch` is reused for the
-/// paper-literal sentence concatenation. Same output as BucketPairs, no
-/// growth reallocation.
-void BucketPairsInto(const Bucket& bucket, const PlpConfig& config,
-                     std::vector<int32_t>& flat_scratch,
-                     std::vector<sgns::Pair>& out);
-
 /// Lines 15–20 only: local SGD over the bucket's batches starting from
-/// θ_t, returning the *unclipped* model delta. The pipeline's
-/// `LocalUpdater` stage produces this raw delta and hands it to the
-/// `DeltaClipper` stage, which applies line 21 and reports whether the
-/// bound engaged (clip_fraction). `loss_out` may be null; `scratch` is an
-/// optional per-worker workspace.
-sgns::SparseDelta ComputeRawBucketDelta(const sgns::SgnsModel& theta,
-                                        const Bucket& bucket,
-                                        const PlpConfig& config,
-                                        int32_t num_locations, Rng& rng,
-                                        double* loss_out = nullptr,
-                                        sgns::TrainScratch* scratch = nullptr);
-
-/// ComputeRawBucketDelta into a caller-owned delta (Clear()ed first).
-/// With `scratch` given, the overlay model and the delta's row stores
-/// both reuse capacity grown on earlier buckets, so steady-state bucket
-/// fan-out performs no allocation. Results are bitwise identical to the
-/// by-value overload.
+/// θ_t, writing the *unclipped* model delta into `delta` (Clear()ed
+/// first). The pipeline's `LocalUpdater` stage produces this raw delta and
+/// hands it to the `DeltaClipper` stage, which applies line 21 and reports
+/// whether the bound engaged (clip_fraction). Deterministic given `rng`'s
+/// state. `loss_out` may be null. With `scratch` (an optional per-worker
+/// workspace) given, the overlay model and the delta's row stores both
+/// reuse capacity grown on earlier buckets, so steady-state bucket fan-out
+/// performs no allocation; results are bitwise identical either way.
 /// `negative_table` selects unigram negative sampling for the local SGD
 /// (null → uniform, byte-identical to the pre-option behavior).
 void ComputeRawBucketDeltaInto(const sgns::SgnsModel& theta,
@@ -58,20 +31,6 @@ void ComputeRawBucketDeltaInto(const sgns::SgnsModel& theta,
                                sgns::SparseDelta& delta,
                                const sgns::UnigramTable* negative_table =
                                    nullptr);
-
-/// ModelUpdateFromBucket (Algorithm 1 lines 15–22): local SGD over the
-/// bucket's batches starting from θ_t, then the clipped model delta
-/// (per-tensor C/√3, so the overall norm is at most C). Deterministic
-/// given `rng`'s state. `loss_out` may be null. `scratch` is an optional
-/// per-worker workspace (pair/candidate/gradient buffers) that eliminates
-/// steady-state allocation without changing any result.
-/// ComputeRawBucketDelta followed by the per-tensor clip.
-sgns::SparseDelta ComputeBucketUpdate(const sgns::SgnsModel& theta,
-                                      const Bucket& bucket,
-                                      const PlpConfig& config,
-                                      int32_t num_locations, Rng& rng,
-                                      double* loss_out = nullptr,
-                                      sgns::TrainScratch* scratch = nullptr);
 
 /// The RNG seed for one bucket's local training, derived from the step
 /// seed and the bucket's *content* (user ids and data shape), never its

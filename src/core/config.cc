@@ -63,20 +63,21 @@ Status PlpConfig::Validate() const {
     violations.push_back("unknown accountant: " + accountant);
   } else if (sampling_scheme == SamplingScheme::kFixedBatch &&
              accountant != "mog") {
-    // The rdp ledger and the pld_fft accountant both hard-code the
-    // Poisson-subsampled Gaussian's dominating pair; feeding them
-    // fixed-batch rounds would certify the wrong mechanism.
+    // The rdp ledger and pld_fft (mog restricted to Poisson rounds) both
+    // certify the Poisson-subsampled Gaussian; feeding them fixed-batch
+    // rounds would certify the wrong mechanism.
     violations.push_back(
         "accountant \"" + accountant +
         "\" models Poisson sampling only; valid (scheme, accountant) pairs "
         "are poisson x {rdp, pld_fft, mog} and fixed_batch x {mog}");
   }
-  if (accountant == "mog" &&
+  if ((accountant == "mog" || accountant == "pld_fft") &&
       split_factor > privacy::kMogMaxSplitFactor) {
-    // MogAccountant::AddRounds rejects larger ω; catching it here fails
-    // the run before corpus loading instead of at the first TrackRound.
+    // Both names run MogAccountant, whose AddRounds rejects larger ω;
+    // catching it here fails the run before corpus loading instead of at
+    // the first TrackRound.
     violations.push_back(
-        "accountant \"mog\" supports split_factor <= " +
+        "accountant \"" + accountant + "\" supports split_factor <= " +
         std::to_string(privacy::kMogMaxSplitFactor) +
         " (kMogMaxSplitFactor); got " + std::to_string(split_factor));
   }

@@ -35,8 +35,8 @@ enum class LocalUpdateMode {
 
 /// How each round's participating users are drawn (line 5).
 enum class SamplingScheme : uint8_t {
-  /// Each user independently with probability q (the paper's scheme; the
-  /// RDP moments accountant and the pld_fft accountant both assume it).
+  /// Each user independently with probability q (the paper's scheme;
+  /// the "rdp" and "pld_fft" accountants assume it).
   kPoisson = 1,
   /// Exactly B = round(q·N) distinct users drawn uniformly without
   /// replacement every round. Only the "mog" accountant models this
@@ -79,13 +79,16 @@ struct PlpConfig {
   privacy::RdpConversion rdp_conversion = privacy::RdpConversion::kClassic;
 
   /// Accountant stage implementation: "rdp" (the moments-accountant
-  /// ledger, the default), "pld_fft" (FFT-composed privacy-loss
-  /// distribution per Koskela et al., arXiv:1906.03049 — tighter ε at the
-  /// same (q, σ, δ), so more steps inside the same budget), or "mog"
-  /// (group-level Mixture-of-Gaussians PLD per Ganesh, arXiv:2401.10294 —
-  /// tight in the split factor ω and the only accountant that models
-  /// fixed_batch sampling). Checkpoints record the accountant's own blob;
-  /// resuming under a different accountant is rejected.
+  /// ledger, the default), "mog" (group-level Mixture-of-Gaussians PLD per
+  /// Ganesh, arXiv:2401.10294, FFT-composed — tighter ε at the same
+  /// (q, σ, δ), so more steps inside the same budget, and the only
+  /// accountant that models fixed_batch sampling), or "pld_fft" (the
+  /// subsampled-Gaussian PLD of Koskela et al., arXiv:1906.03049 — under
+  /// Poisson sampling exactly the MoG dominating pair, so it runs the
+  /// "mog" accountant restricted to Poisson rounds). "mog" and "pld_fft"
+  /// bound split_factor by kMogMaxSplitFactor and write the same
+  /// checkpoint blob, so either resumes the other's checkpoints; resuming
+  /// between "rdp" and a PLD accountant is rejected.
   std::string accountant = "rdp";
 
   /// Flexible budget allocation across learning stages (the paper's

@@ -19,9 +19,6 @@
 namespace plp::pipeline {
 namespace {
 
-/// Snapshots the full mutable training state after completed step `step`.
-/// The accountant/optimizer states embed as opaque blobs: each stage
-/// serializes itself, the checkpoint format stays ignorant of their layout.
 /// core::SamplingScheme → its checkpoint-envelope twin (plp_ckpt cannot
 /// depend on plp_core, so the enum is redeclared there).
 ckpt::SamplingScheme ToCkptScheme(core::SamplingScheme scheme) {
@@ -30,6 +27,9 @@ ckpt::SamplingScheme ToCkptScheme(core::SamplingScheme scheme) {
              : ckpt::SamplingScheme::kPoisson;
 }
 
+/// Snapshots the full mutable training state after completed step `step`.
+/// The accountant/optimizer states embed as opaque blobs: each stage
+/// serializes itself, the checkpoint format stays ignorant of their layout.
 ckpt::TrainerSnapshot MakeSnapshot(ckpt::TrainerKind kind,
                                    ckpt::SamplingScheme scheme, int64_t step,
                                    const Rng& rng, const Accountant& accountant,

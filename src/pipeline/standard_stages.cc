@@ -11,7 +11,6 @@
 #include "optim/optimizers.h"
 #include "privacy/ledger.h"
 #include "privacy/mog_accountant.h"
-#include "privacy/pld_accountant.h"
 #include "sgns/loss.h"
 #include "sgns/pairs.h"
 
@@ -184,6 +183,39 @@ Status RejectNonPoissonRound(const char* accountant_name,
       "are poisson x {rdp, pld_fft, mog} and fixed_batch x {mog}");
 }
 
+/// Lines 11–13: the budget verdict after a round, the same for every
+/// private accountant.
+BudgetDecision DecideBudget(const core::PlpConfig& config,
+                            double epsilon_after) {
+  BudgetDecision decision;
+  decision.epsilon_after = epsilon_after;
+  decision.exhausted = epsilon_after > config.epsilon_budget;
+  return decision;
+}
+
+/// Restores `state` (a PrivacyLedger or MogAccountant) from a checkpoint
+/// blob. The blob must parse completely, carry the configured δ, and —
+/// the ledger-first invariant — cover exactly the `step` steps the
+/// snapshot holds, so the ledger always covers the model's spends.
+template <typename State>
+Status RestoreAccountantState(const std::string& blob, int64_t step,
+                              const core::PlpConfig& config, State& state) {
+  ByteReader reader(blob);
+  PLP_ASSIGN_OR_RETURN(State restored, State::Restore(reader));
+  if (!reader.AtEnd()) {
+    return InvalidArgumentError("checkpoint: trailing ledger bytes");
+  }
+  if (restored.delta() != config.delta) {
+    return InvalidArgumentError("checkpoint δ disagrees with config");
+  }
+  if (restored.total_steps() != step) {
+    return InvalidArgumentError(
+        "checkpoint ledger steps disagree with step counter");
+  }
+  state = std::move(restored);
+  return Status::Ok();
+}
+
 /// Lines 3 + 11–13 with the RDP moments-accountant ledger (the default).
 class LedgerAccountant final : public Accountant {
  public:
@@ -194,11 +226,7 @@ class LedgerAccountant final : public Accountant {
     PLP_RETURN_IF_ERROR(RejectNonPoissonRound("rdp", round));
     PLP_RETURN_IF_ERROR(
         ledger_.TrackStep(round.sampling_ratio, round.noise_multiplier));
-    BudgetDecision decision;
-    decision.epsilon_after =
-        ledger_.CumulativeEpsilon(config_.rdp_conversion);
-    decision.exhausted = decision.epsilon_after > config_.epsilon_budget;
-    return decision;
+    return DecideBudget(config_, EpsilonSpent());
   }
 
   Result<BudgetDecision> TrackRounds(const RoundRecord& first,
@@ -213,11 +241,7 @@ class LedgerAccountant final : public Accountant {
           first.sampling_ratio,
           core::EffectiveNoiseMultiplier(config_, first.step + i)));
     }
-    BudgetDecision decision;
-    decision.epsilon_after =
-        ledger_.CumulativeEpsilon(config_.rdp_conversion);
-    decision.exhausted = decision.epsilon_after > config_.epsilon_budget;
-    return decision;
+    return DecideBudget(config_, EpsilonSpent());
   }
 
   double EpsilonSpent() const override {
@@ -231,93 +255,12 @@ class LedgerAccountant final : public Accountant {
   }
 
   Status RestoreBlob(const std::string& blob, int64_t step) override {
-    ByteReader reader(blob);
-    PLP_ASSIGN_OR_RETURN(privacy::PrivacyLedger restored,
-                         privacy::PrivacyLedger::Restore(reader));
-    if (!reader.AtEnd()) {
-      return InvalidArgumentError("checkpoint: trailing ledger bytes");
-    }
-    if (restored.delta() != config_.delta) {
-      return InvalidArgumentError("checkpoint δ disagrees with config");
-    }
-    // Ledger-first invariant: a snapshot at step k carries exactly k
-    // tracked steps — the ledger always covers the model's spends.
-    if (restored.total_steps() != step) {
-      return InvalidArgumentError(
-          "checkpoint ledger steps disagree with step counter");
-    }
-    ledger_ = std::move(restored);
-    return Status::Ok();
+    return RestoreAccountantState(blob, step, config_, ledger_);
   }
 
  private:
   core::PlpConfig config_;
   privacy::PrivacyLedger ledger_;
-};
-
-/// Lines 3 + 11–13 with the FFT privacy-loss-distribution accountant
-/// (Koskela et al.) — the pluggable-seam proof. Same tracking policy and
-/// checkpoint invariants as the ledger, different (tighter) ε oracle.
-class PldFftAccountant final : public Accountant {
- public:
-  explicit PldFftAccountant(const core::PlpConfig& config)
-      : config_(config), pld_(config.delta) {}
-
-  Result<BudgetDecision> TrackRound(const RoundRecord& round) override {
-    PLP_RETURN_IF_ERROR(RejectNonPoissonRound("pld_fft", round));
-    PLP_RETURN_IF_ERROR(
-        pld_.AddSteps(round.sampling_ratio, round.noise_multiplier, 1));
-    BudgetDecision decision;
-    decision.epsilon_after = pld_.CumulativeEpsilon();
-    decision.exhausted = decision.epsilon_after > config_.epsilon_budget;
-    return decision;
-  }
-
-  Result<BudgetDecision> TrackRounds(const RoundRecord& first,
-                                     int64_t count) override {
-    // Bulk fast path: appending entries is O(1) each; ε is composed once
-    // at the end instead of per round (one FFT instead of `count`).
-    PLP_RETURN_IF_ERROR(RejectNonPoissonRound("pld_fft", first));
-    for (int64_t i = 0; i < count; ++i) {
-      PLP_RETURN_IF_ERROR(pld_.AddSteps(
-          first.sampling_ratio,
-          core::EffectiveNoiseMultiplier(config_, first.step + i), 1));
-    }
-    BudgetDecision decision;
-    decision.epsilon_after = pld_.CumulativeEpsilon();
-    decision.exhausted = decision.epsilon_after > config_.epsilon_budget;
-    return decision;
-  }
-
-  double EpsilonSpent() const override { return pld_.CumulativeEpsilon(); }
-
-  std::string SaveBlob() const override {
-    ByteWriter writer;
-    pld_.SaveState(writer);
-    return writer.Take();
-  }
-
-  Status RestoreBlob(const std::string& blob, int64_t step) override {
-    ByteReader reader(blob);
-    PLP_ASSIGN_OR_RETURN(privacy::PldAccountant restored,
-                         privacy::PldAccountant::Restore(reader));
-    if (!reader.AtEnd()) {
-      return InvalidArgumentError("checkpoint: trailing ledger bytes");
-    }
-    if (restored.delta() != config_.delta) {
-      return InvalidArgumentError("checkpoint δ disagrees with config");
-    }
-    if (restored.total_steps() != step) {
-      return InvalidArgumentError(
-          "checkpoint ledger steps disagree with step counter");
-    }
-    pld_ = std::move(restored);
-    return Status::Ok();
-  }
-
- private:
-  core::PlpConfig config_;
-  privacy::PldAccountant pld_;
 };
 
 /// One pipeline RoundRecord as `steps` identical MoG accountant rounds.
@@ -339,18 +282,25 @@ privacy::MogRound ToMogRound(const RoundRecord& round, int64_t steps) {
   return mog;
 }
 
+/// Blob magic of the standalone pld_fft accountant ("PLD1" little-endian)
+/// that older builds wrote into checkpoints.
+constexpr uint32_t kLegacyPldBlobMagic = 0x31444C50;
+
 /// Lines 3 + 11–13 with the group-level Mixture-of-Gaussians accountant
 /// (Ganesh, arXiv:2401.10294) — tight in ω and the only stage accountant
-/// covering both sampling schemes. Same tracking policy and checkpoint
-/// invariants as the ledger, ω-aware ε oracle.
+/// covering both sampling schemes. Also serves "pld_fft": under Poisson
+/// sampling the MoG dominating pair is exactly the subsampled-Gaussian
+/// PLD of Koskela et al. (arXiv:1906.03049), so "pld_fft" is this stage
+/// restricted to Poisson rounds.
 class MogStageAccountant final : public Accountant {
  public:
   explicit MogStageAccountant(const core::PlpConfig& config)
       : config_(config), mog_(config.delta) {}
 
   Result<BudgetDecision> TrackRound(const RoundRecord& round) override {
+    PLP_RETURN_IF_ERROR(CheckScheme(round));
     PLP_RETURN_IF_ERROR(mog_.AddRounds(ToMogRound(round, 1)));
-    return Decide();
+    return DecideBudget(config_, EpsilonSpent());
   }
 
   Result<BudgetDecision> TrackRounds(const RoundRecord& first,
@@ -359,6 +309,7 @@ class MogStageAccountant final : public Accountant {
     // a schedule-free sweep composes with one DFT power per mechanism
     // instead of one per round. σ_t is still recomputed per step for
     // schedule correctness.
+    PLP_RETURN_IF_ERROR(CheckScheme(first));
     RoundRecord round = first;
     for (int64_t i = 0; i < count; ++i) {
       round.step = first.step + i;
@@ -366,7 +317,7 @@ class MogStageAccountant final : public Accountant {
           core::EffectiveNoiseMultiplier(config_, round.step);
       PLP_RETURN_IF_ERROR(mog_.AddRounds(ToMogRound(round, 1)));
     }
-    return Decide();
+    return DecideBudget(config_, EpsilonSpent());
   }
 
   double EpsilonSpent() const override { return mog_.CumulativeEpsilon(); }
@@ -379,28 +330,19 @@ class MogStageAccountant final : public Accountant {
 
   Status RestoreBlob(const std::string& blob, int64_t step) override {
     ByteReader reader(blob);
-    PLP_ASSIGN_OR_RETURN(privacy::MogAccountant restored,
-                         privacy::MogAccountant::Restore(reader));
-    if (!reader.AtEnd()) {
-      return InvalidArgumentError("checkpoint: trailing ledger bytes");
-    }
-    if (restored.delta() != config_.delta) {
-      return InvalidArgumentError("checkpoint δ disagrees with config");
-    }
-    if (restored.total_steps() != step) {
+    const Result<uint32_t> magic = reader.U32();
+    if (magic.ok() && *magic == kLegacyPldBlobMagic) {
       return InvalidArgumentError(
-          "checkpoint ledger steps disagree with step counter");
+          "checkpoint: \"PLD1\" accountant blob predates pld_fft becoming an "
+          "alias of mog; the run must restart from step 0");
     }
-    mog_ = std::move(restored);
-    return Status::Ok();
+    return RestoreAccountantState(blob, step, config_, mog_);
   }
 
  private:
-  BudgetDecision Decide() const {
-    BudgetDecision decision;
-    decision.epsilon_after = mog_.CumulativeEpsilon();
-    decision.exhausted = decision.epsilon_after > config_.epsilon_budget;
-    return decision;
+  Status CheckScheme(const RoundRecord& round) const {
+    if (config_.accountant != "pld_fft") return Status::Ok();
+    return RejectNonPoissonRound("pld_fft", round);
   }
 
   core::PlpConfig config_;
@@ -664,11 +606,8 @@ std::unique_ptr<Accountant> MakeAccountant(const core::PlpConfig& config) {
   if (config.accountant == "rdp") {
     return std::make_unique<LedgerAccountant>(config);
   }
-  if (config.accountant == "mog") {
-    return std::make_unique<MogStageAccountant>(config);
-  }
-  PLP_CHECK(config.accountant == "pld_fft");
-  return std::make_unique<PldFftAccountant>(config);
+  PLP_CHECK(config.accountant == "mog" || config.accountant == "pld_fft");
+  return std::make_unique<MogStageAccountant>(config);
 }
 
 StageSet MakePrivateStages(const core::PlpConfig& config) {

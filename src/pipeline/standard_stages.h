@@ -26,12 +26,13 @@ StageSet MakeNonPrivateStages(const core::NonPrivateConfig& config);
 EngineConfig MakeNonPrivateEngineConfig(const core::NonPrivateConfig& config);
 
 /// The accountant stage selected by `config.accountant` ("rdp" → the RDP
-/// moments-accountant ledger, "pld_fft" → the FFT-composed privacy-loss-
-/// distribution accountant of Koskela et al., arXiv:1906.03049, "mog" →
-/// the group-level Mixture-of-Gaussians accountant of Ganesh,
-/// arXiv:2401.10294 — the exact PLD of the pipeline's all-or-nothing
-/// participation law, and the only one accepting fixed_batch rounds).
-/// Aborts on names Validate() would reject.
+/// moments-accountant ledger, "mog" → the group-level Mixture-of-Gaussians
+/// accountant of Ganesh, arXiv:2401.10294 — the exact FFT-composed PLD of
+/// the pipeline's all-or-nothing participation law, and the only one
+/// accepting fixed_batch rounds; "pld_fft" → the same MoG stage restricted
+/// to Poisson rounds, where its dominating pair is the subsampled-Gaussian
+/// PLD of Koskela et al., arXiv:1906.03049). Aborts on names Validate()
+/// would reject.
 std::unique_ptr<Accountant> MakeAccountant(const core::PlpConfig& config);
 
 /// One line per stage naming the chosen implementation and its parameters

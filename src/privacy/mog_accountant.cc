@@ -38,8 +38,8 @@ double ParticipationProbability(const MogRound& round) {
 /// user contributes all ω clipped parts, moving the query by the joint
 /// sensitivity ω·C — exactly 1 in the ω·C-normalized units σ lives in —
 /// so the full-participation component sits at shift 1 for every ω.
-/// Same expression as the pld_fft accountant's UpperCdf, on purpose: the
-/// two must produce bit-identical grids at equal p.
+/// Under Poisson (p = q) this is the subsampled-Gaussian dominating pair
+/// of Koskela et al.
 double UpperCdf(double p, double sigma, double x) {
   return (1.0 - p) * StdNormalCdf(x / sigma) +
          p * StdNormalCdf((x - 1.0) / sigma);
@@ -120,12 +120,12 @@ const MogAccountant::RoundPld& MogAccountant::RoundPldFor(
   pld.round = round;
   const double p = ParticipationProbability(round);
   const double sigma = round.noise_multiplier;
-  // Same pessimistic binning as the pld_fft accountant (see pld_grid.h):
-  // loss-ordered bin t holds the P-mass of losses in (s_t − Δ, s_t] with
-  // right edge s_t = −R + (t+1)·Δ — mass rounds *up* to the edge, so
-  // every bin's contribution to δ(ε) is over- rather than under-counted;
-  // mass below the grid lumps into the lowest bin, mass above it is the
-  // truncated tail contributing to δ in full.
+  // Pessimistic binning (see pld_grid.h): loss-ordered bin t holds the
+  // P-mass of losses in (s_t − Δ, s_t] with right edge s_t = −R + (t+1)·Δ
+  // — mass rounds *up* to the edge, so every bin's contribution to δ(ε)
+  // is over- rather than under-counted; mass below the grid lumps into
+  // the lowest bin, mass above it is the truncated tail contributing to δ
+  // in full.
   std::vector<std::complex<double>> pmf(n, {0.0, 0.0});
   double previous_cdf = 0.0;
   for (size_t t = 0; t < n; ++t) {

@@ -21,7 +21,8 @@ enum class MogSampling : uint8_t {
 /// depend on ω (see the class comment), but ω is part of the recorded
 /// mechanism and the checkpoint blob; the bound keeps restore allocation
 /// sane and is enforced again by PlpConfig::Validate for --accountant=mog
-/// so a misconfigured run fails before corpus loading, not at step 1.
+/// and its Poisson-only alias pld_fft, so a misconfigured run fails before
+/// corpus loading, not at step 1.
 inline constexpr int32_t kMogMaxSplitFactor = 64;
 
 /// One coalesced run of identical Mixture-of-Gaussians rounds.
@@ -65,19 +66,19 @@ struct MogRound {
 ///   * Poisson:     p = q — the user enters independently each round;
 ///   * fixed batch: p = B/N — the marginal of drawing exactly B of the
 ///                  N users without replacement (Hypergeometric(N,1,B)).
-/// This is exactly the pld_fft accountant's dominating pair for every ω
-/// (ε is invariant in ω given the joint multiplier σ — pinned by
-/// MogAccountantTest.EpsilonInvariantInOmega), strictly tighter than the
-/// classic RDP conversion, and — unlike rdp/pld_fft — defined for
-/// fixed-batch sampling at all.
+/// Under Poisson this is exactly the subsampled-Gaussian PLD of Koskela et
+/// al. (arXiv:1906.03049) for every ω (ε is invariant in ω given the joint
+/// multiplier σ — pinned by MogAccountantTest.EpsilonInvariantInOmega);
+/// it is strictly tighter than the classic RDP conversion, and — unlike
+/// the RDP ledger — defined for fixed-batch sampling at all.
 ///
-/// The PLD of log(dP/dQ) is discretized on the shared pessimistic loss
-/// grid (privacy/pld_grid.h) and composed across rounds by DFT pointwise
-/// powers, exactly like the pld_fft accountant — so ε estimates err
-/// high, never low, under the grid's control knobs.
+/// The PLD of log(dP/dQ) is discretized on the pessimistic loss grid of
+/// privacy/pld_grid.h and composed across rounds by DFT pointwise powers,
+/// so ε estimates err high, never low, under the grid's control knobs.
 ///
 /// This backs the pipeline's "mog" Accountant stage — the only stage
-/// accountant whose analysis covers fixed-batch sampling.
+/// accountant whose analysis covers fixed-batch sampling — and its
+/// "pld_fft" name, which is the same stage restricted to Poisson rounds.
 class MogAccountant {
  public:
   /// `delta` is the fixed δ of the (ε, δ) guarantee, in (0, 1). Aborts on
@@ -105,7 +106,7 @@ class MogAccountant {
   /// Serializes δ, the grid options, and the coalesced entries. The PLD
   /// discretizations are deterministic functions of those, so a restored
   /// accountant answers CumulativeEpsilon bit-identically. The blob is
-  /// tagged ("MOG1"), so restoring an RDP or PLD blob here (or vice
+  /// tagged ("MOG1"), so restoring an RDP ledger blob here (or vice
   /// versa) fails instead of misparsing.
   void SaveState(ByteWriter& writer) const;
   static Result<MogAccountant> Restore(ByteReader& reader);

@@ -18,10 +18,10 @@ namespace plp::privacy {
 /// when the composed loss mass approaches ±grid_range — pick grid_range
 /// comfortably above the target ε.
 ///
-/// Shared by every PLD-backed accountant (the subsampled-Gaussian
-/// PldAccountant and the Mixture-of-Gaussians MogAccountant), so the two
-/// discretize, compose and invert δ(ε) with the exact same floating-point
-/// operation sequence.
+/// The grid behind MogAccountant, which serves both the "mog" and the
+/// "pld_fft" accountant names (under Poisson sampling the MoG dominating
+/// pair is the subsampled-Gaussian PLD, so one implementation covers
+/// both).
 struct PldOptions {
   int32_t log2_grid_size = 15;  ///< n = 2^15 loss bins
   double grid_range = 32.0;     ///< losses discretized on (−R, R]

@@ -4,12 +4,6 @@
 
 namespace plp::sgns {
 
-SparseDelta LocalModel::ExtractDelta() const {
-  SparseDelta delta(dim());
-  ExtractDeltaInto(delta);
-  return delta;
-}
-
 void LocalModel::ExtractDeltaInto(SparseDelta& delta) const {
   PLP_CHECK_EQ(delta.dim(), dim());
   delta.Clear();

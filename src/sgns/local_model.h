@@ -16,7 +16,7 @@ namespace plp::sgns {
 /// Algorithm 1 line 16 copies θ_t into Φ for each bucket; copying the full
 /// model per bucket would be O(L·dim). A LocalModel instead materializes
 /// only the rows a bucket's gradient descent touches: reads fall through to
-/// the base, writes copy the row first. ExtractDelta() then yields
+/// the base, writes copy the row first. ExtractDeltaInto() then yields
 /// g_h = Φ − θ_t restricted to touched rows — which is exact, because
 /// untouched rows have zero delta.
 ///
@@ -74,14 +74,12 @@ class LocalModel {
     return row[0];
   }
 
-  /// Φ − θ_t over the touched rows.
-  SparseDelta ExtractDelta() const;
-
-  /// ExtractDelta into an existing delta (Clear()ed first). With a delta
-  /// whose row stores already carry enough capacity this performs no
-  /// allocation — the engine reuses one delta slot per bucket index across
-  /// steps, which keeps the per-step fan-out free of the multi-megabyte
-  /// arena alloc/zero/free cycle a by-value extraction pays per bucket.
+  /// Φ − θ_t over the touched rows, into `delta` (Clear()ed first; its dim
+  /// must match). With a delta whose row stores already carry enough
+  /// capacity this performs no allocation — the engine reuses one delta
+  /// slot per bucket index across steps, which keeps the per-step fan-out
+  /// free of the multi-megabyte arena alloc/zero/free cycle a by-value
+  /// extraction would pay per bucket.
   void ExtractDeltaInto(SparseDelta& delta) const;
 
   size_t NumTouchedRows() const {

@@ -38,8 +38,9 @@ inline std::vector<Pair> GeneratePairs(std::initializer_list<int32_t> sentence,
 }
 
 /// Appends GeneratePairs' output to `out` without clearing it. Callers
-/// that concatenate many sentences (BucketPairs) reserve once from
-/// PairCount and append, avoiding repeated reallocation.
+/// that concatenate many sentences (a bucket's pairs in
+/// core/bucket_update.cc) reserve once from PairCount and append,
+/// avoiding repeated reallocation.
 void AppendPairs(std::span<const int32_t> sentence, int32_t window,
                  std::vector<Pair>& out);
 

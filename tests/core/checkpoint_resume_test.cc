@@ -16,6 +16,7 @@
 #include "core/nonprivate_trainer.h"
 #include "core/plp_trainer.h"
 #include "data/fixtures.h"
+#include "support/fixtures.h"
 
 namespace plp::core {
 namespace {
@@ -360,6 +361,81 @@ TEST_F(CheckpointResumeTest, ResumeRejectsCrossAccountantBlob) {
     EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument)
         << accountant;
   }
+}
+
+/// "pld_fft" is the MoG accountant restricted to Poisson rounds, so its
+/// checkpoint carries a MOG1 blob and resumes under "mog" onto the
+/// uninterrupted pld_fft run's model and ε trajectory bit for bit.
+TEST_F(CheckpointResumeTest, PldFftCheckpointResumesUnderMogBitIdentically) {
+  const data::TrainingCorpus corpus = MakeCorpus();
+  PlpConfig pld = MakePrivateConfig();
+  pld.accountant = "pld_fft";
+
+  Rng reference_rng(kSeed);
+  auto reference = PlpTrainer(pld).Train(corpus, reference_rng);
+  ASSERT_TRUE(reference.ok());
+  ASSERT_EQ(reference->steps_executed, kMaxSteps);
+
+  Rng interrupted_rng(kSeed);
+  ASSERT_TRUE(PlpTrainer(pld)
+                  .Train(corpus, interrupted_rng,
+                         [](const StepMetrics& m, const sgns::SgnsModel&) {
+                           return m.step < 5;
+                         },
+                         Options(/*resume=*/false))
+                  .ok());
+
+  PlpConfig mog = pld;
+  mog.accountant = "mog";
+  Rng resumed_rng(kSeed + 999);
+  auto resumed = PlpTrainer(mog).Train(corpus, resumed_rng, nullptr,
+                                       Options(/*resume=*/true));
+  ASSERT_TRUE(resumed.ok()) << resumed.status().message();
+  EXPECT_EQ(resumed->steps_executed, kMaxSteps);
+  EXPECT_TRUE(ModelsBitwiseEqual(resumed->model, reference->model));
+  for (const StepMetrics& metrics : resumed->history) {
+    const StepMetrics& expected =
+        reference->history[static_cast<size_t>(metrics.step - 1)];
+    EXPECT_EQ(metrics.epsilon_spent, expected.epsilon_spent)
+        << "step " << metrics.step;
+  }
+  EXPECT_EQ(resumed->epsilon_spent, reference->epsilon_spent);
+}
+
+/// A checkpoint written by a build with a standalone pld_fft accountant
+/// carries a "PLD1" blob; resuming it is refused by name, not misparsed.
+TEST_F(CheckpointResumeTest, ResumeRejectsLegacyPldBlob) {
+  const data::TrainingCorpus corpus = MakeCorpus();
+  PlpConfig config = MakePrivateConfig();
+  config.accountant = "pld_fft";
+  Rng rng(kSeed);
+  ASSERT_TRUE(PlpTrainer(config)
+                  .Train(corpus, rng,
+                         [](const StepMetrics& m, const sgns::SgnsModel&) {
+                           return m.step < 3;
+                         },
+                         Options(false))
+                  .ok());
+
+  // Rewrite the newest snapshot as the older build would have saved it.
+  const ckpt::CheckpointManager manager(dir_);
+  auto snapshot = manager.LoadLatest();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().message();
+  ASSERT_EQ(snapshot->step, 3);
+  snapshot->ledger_blob = test::LegacyPldBlob(
+      config.delta, config.sampling_probability, config.noise_scale, 3);
+  ASSERT_TRUE(manager.Save(*snapshot).ok());
+
+  Rng resumed_rng(kSeed);
+  auto resumed =
+      PlpTrainer(config).Train(corpus, resumed_rng, nullptr, Options(true));
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(resumed.status().message().find("PLD1"), std::string::npos)
+      << resumed.status().message();
+  EXPECT_NE(resumed.status().message().find("must restart"),
+            std::string::npos)
+      << resumed.status().message();
 }
 
 /// The full resume contract under the new pipeline pieces at once: MoG

@@ -19,6 +19,10 @@
 // not containing the removed user keep their exact RNG stream and hence
 // their exact delta, so the only movement comes from the touched buckets.
 //
+// Every bucket delta comes from the production stages
+// (pipeline::MakePrivateStages): the LocalUpdater's raw delta, then the
+// DeltaClipper — the same pair TrainingEngine runs per bucket.
+//
 // The suite ends with negative tests proving the checker would catch a
 // deliberately broken mechanism (clip bound raised, ω ignored).
 
@@ -34,6 +38,7 @@
 #include "core/config.h"
 #include "core/grouping.h"
 #include "data/corpus.h"
+#include "pipeline/standard_stages.h"
 #include "sgns/model.h"
 #include "sgns/sparse_delta.h"
 #include "support/fixtures.h"
@@ -64,21 +69,44 @@ sgns::SgnsModel MakeModel(int32_t num_locations, const PlpConfig& config,
   return *std::move(model);
 }
 
+// The private stages for `config`, prepared on `corpus` the way
+// TrainingEngine prepares them before its first step.
+pipeline::StageSet PreparedStages(const PlpConfig& config,
+                                  const data::CorpusView& corpus,
+                                  const sgns::SgnsModel& model) {
+  pipeline::StageSet stages = pipeline::MakePrivateStages(config);
+  Rng prepare_rng(0);  // the bucket updater's Prepare draws nothing
+  PLP_CHECK_OK(stages.updater->Prepare(corpus, model, prepare_rng));
+  return stages;
+}
+
+// One bucket's clipped delta: the updater's raw delta, then line 21.
+sgns::SparseDelta ClippedBucketDelta(const pipeline::StageSet& stages,
+                                     const sgns::SgnsModel& theta,
+                                     const Bucket& bucket,
+                                     int32_t num_locations, Rng& bucket_rng) {
+  sgns::SparseDelta delta(theta.dim());
+  stages.updater->ComputeDelta(theta, bucket, num_locations, bucket_rng,
+                               /*loss_out=*/nullptr, /*scratch=*/nullptr,
+                               delta);
+  stages.clipper->Clip(delta);
+  return delta;
+}
+
 // The pre-noise Gaussian sum query: Σ over buckets of the clipped bucket
 // delta, each bucket trained on its content-keyed RNG (exactly what
-// PlpTrainer::Train does per step).
-sgns::DenseUpdate SumClippedDeltas(const sgns::SgnsModel& theta,
+// TrainingEngine does per step).
+sgns::DenseUpdate SumClippedDeltas(const pipeline::StageSet& stages,
+                                   const sgns::SgnsModel& theta,
                                    const std::vector<Bucket>& buckets,
-                                   const PlpConfig& config,
                                    int32_t num_locations,
                                    uint64_t step_seed) {
   sgns::DenseUpdate sum(theta);
   for (const Bucket& bucket : buckets) {
     if (bucket.sentences.empty()) continue;
     Rng bucket_rng(BucketSeed(step_seed, bucket));
-    const sgns::SparseDelta delta =
-        ComputeBucketUpdate(theta, bucket, config, num_locations, bucket_rng);
-    delta.AccumulateInto(sum, 1.0);
+    ClippedBucketDelta(stages, theta, bucket, num_locations, bucket_rng)
+        .AccumulateInto(sum, 1.0);
   }
   return sum;
 }
@@ -155,11 +183,12 @@ TEST(SensitivityTest, BucketDeltaNormNeverExceedsClip) {
     const std::vector<Bucket> buckets =
         BuildBuckets(corpus, sampled, config, rng);
     ASSERT_FALSE(buckets.empty());
+    const pipeline::StageSet stages = PreparedStages(config, corpus, model);
     double max_norm = 0.0;
     for (const Bucket& bucket : buckets) {
       Rng bucket_rng(BucketSeed(rng.NextU64(), bucket));
-      const sgns::SparseDelta delta = ComputeBucketUpdate(
-          model, bucket, config, corpus.num_locations, bucket_rng);
+      const sgns::SparseDelta delta = ClippedBucketDelta(
+          stages, model, bucket, corpus.num_locations, bucket_rng);
       const double norm = delta.TotalNorm();
       EXPECT_LE(norm, config.clip_norm + kTol);
       max_norm = std::max(max_norm, norm);
@@ -185,12 +214,13 @@ TEST(SensitivityTest, DpSgdNeighborMovesAtMostClip) {
         PoissonSampleUsers(corpus.num_users(), 0.4, sample_rng);
     if (sampled.size() < 2) return;
     const uint64_t step_seed = 0xFEEDFACEULL ^ seed;
+    const pipeline::StageSet stages = PreparedStages(config, corpus, model);
 
     Rng group_rng(seed ^ 3);
     const std::vector<Bucket> buckets =
         BuildBuckets(corpus, sampled, config, group_rng);
     const sgns::DenseUpdate sum = SumClippedDeltas(
-        model, buckets, config, corpus.num_locations, step_seed);
+        stages, model, buckets, corpus.num_locations, step_seed);
 
     for (int32_t removed : sampled) {
       std::vector<int32_t> neighbor_sample;
@@ -201,7 +231,7 @@ TEST(SensitivityTest, DpSgdNeighborMovesAtMostClip) {
       const std::vector<Bucket> neighbor_buckets = BuildBuckets(
           corpus, neighbor_sample, config, neighbor_group_rng);
       const sgns::DenseUpdate neighbor_sum =
-          SumClippedDeltas(model, neighbor_buckets, config,
+          SumClippedDeltas(stages, model, neighbor_buckets,
                            corpus.num_locations, step_seed);
       EXPECT_LE(Distance(sum, neighbor_sum), config.clip_norm + kTol);
     }
@@ -228,15 +258,16 @@ TEST(SensitivityTest, SplitUserMovesAtMostOmegaClip) {
         DedicatedSplitBuckets(corpus, users, omega);
     ASSERT_EQ(buckets.size(), users.size() * static_cast<size_t>(omega));
     const uint64_t step_seed = 0xB0B0ULL ^ seed;
+    const pipeline::StageSet stages = PreparedStages(config, corpus, model);
     const sgns::DenseUpdate sum = SumClippedDeltas(
-        model, buckets, config, corpus.num_locations, step_seed);
+        stages, model, buckets, corpus.num_locations, step_seed);
 
     double max_movement = 0.0;
     for (int32_t removed : users) {
       const std::vector<Bucket> neighbor_buckets =
           RemoveUser(buckets, removed);
       const sgns::DenseUpdate neighbor_sum =
-          SumClippedDeltas(model, neighbor_buckets, config,
+          SumClippedDeltas(stages, model, neighbor_buckets,
                            corpus.num_locations, step_seed);
       const double movement = Distance(sum, neighbor_sum);
       EXPECT_LE(movement, omega * config.clip_norm + kTol);
@@ -268,14 +299,15 @@ TEST(SensitivityTest, GroupedNeighborMovesAtMostTwiceOmegaClip) {
     const std::vector<Bucket> buckets =
         BuildBuckets(corpus, sampled, config, rng);
     const uint64_t step_seed = 0xC0FFEEULL ^ seed;
+    const pipeline::StageSet stages = PreparedStages(config, corpus, model);
     const sgns::DenseUpdate sum = SumClippedDeltas(
-        model, buckets, config, corpus.num_locations, step_seed);
+        stages, model, buckets, corpus.num_locations, step_seed);
 
     for (int32_t removed : sampled) {
       const std::vector<Bucket> neighbor_buckets =
           RemoveUser(buckets, removed);
       const sgns::DenseUpdate neighbor_sum =
-          SumClippedDeltas(model, neighbor_buckets, config,
+          SumClippedDeltas(stages, model, neighbor_buckets,
                            corpus.num_locations, step_seed);
       EXPECT_LE(Distance(sum, neighbor_sum),
                 2.0 * config.clip_norm + kTol);
@@ -306,12 +338,13 @@ TEST(SensitivityTest, NegativeRaisedClipBoundIsDetected) {
   const uint64_t step_seed = 0xDEAD10CCULL ^ seed;
 
   auto max_movement = [&](const PlpConfig& config) {
+    const pipeline::StageSet stages = PreparedStages(config, corpus, model);
     const sgns::DenseUpdate sum = SumClippedDeltas(
-        model, buckets, config, corpus.num_locations, step_seed);
+        stages, model, buckets, corpus.num_locations, step_seed);
     double worst = 0.0;
     for (int32_t removed : sampled) {
       const sgns::DenseUpdate neighbor_sum = SumClippedDeltas(
-          model, RemoveUser(buckets, removed), config,
+          stages, model, RemoveUser(buckets, removed),
           corpus.num_locations, step_seed);
       worst = std::max(worst, Distance(sum, neighbor_sum));
     }

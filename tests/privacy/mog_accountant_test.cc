@@ -1,6 +1,7 @@
 #include "privacy/mog_accountant.h"
 
 #include <cmath>
+#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -9,8 +10,9 @@
 #include "common/serialize.h"
 #include "core/plp_trainer.h"
 #include "data/fixtures.h"
+#include "pipeline/standard_stages.h"
 #include "privacy/ledger.h"
-#include "privacy/pld_accountant.h"
+#include "support/fixtures.h"
 
 namespace plp::privacy {
 namespace {
@@ -38,6 +40,28 @@ MogRound FixedBatchRound(int64_t batch, int64_t population, double sigma,
   round.noise_multiplier = sigma;
   round.split_factor = omega;
   round.steps = steps;
+  return round;
+}
+
+/// The accountant stage `name` at (δ, budget) = (kDelta, 1e9), as
+/// pipeline::MakeAccountant builds it for a training run.
+std::unique_ptr<pipeline::Accountant> StageAccountant(const char* name) {
+  core::PlpConfig config;
+  config.accountant = name;
+  config.delta = kDelta;
+  config.epsilon_budget = 1e9;
+  return pipeline::MakeAccountant(config);
+}
+
+pipeline::RoundRecord PoissonRecord(int64_t step, double q, double sigma,
+                                    int32_t omega) {
+  pipeline::RoundRecord round;
+  round.step = step;
+  round.scheme = core::SamplingScheme::kPoisson;
+  round.sampling_ratio = q;
+  round.population = 200;
+  round.noise_multiplier = sigma;
+  round.split_factor = omega;
   return round;
 }
 
@@ -144,20 +168,70 @@ TEST(MogAccountantTest, FullBatchEqualsQOnePoisson) {
   EXPECT_EQ(fixed.CumulativeEpsilon(), poisson.CumulativeEpsilon());
 }
 
-/// Under Poisson the all-or-nothing participation law IS the pld_fft
-/// accountant's (1−q)N(0,σ²) + qN(1,σ²) dominating pair at every ω, and
-/// the two accountants build it with the same expressions on the same
-/// grid — the agreement is bit-exact, not approximate.
-TEST(MogAccountantTest, PoissonMatchesPldFftAtEveryOmega) {
-  const double q = 0.06, sigma = 2.5;
-  const int64_t steps = 150;
-  PldAccountant pld(kDelta);
-  ASSERT_TRUE(pld.AddSteps(q, sigma, steps).ok());
+/// Under Poisson the all-or-nothing participation law IS the
+/// subsampled-Gaussian (1−q)N(0,σ²) + qN(1,σ²) dominating pair of
+/// Koskela et al. at every ω, so the "pld_fft" stage is the "mog" stage
+/// restricted to Poisson rounds: fed the same RoundRecords, the two must
+/// agree bit for bit after every round, σ changes included.
+TEST(MogAccountantTest, PldFftStageMatchesMogStageAtEveryOmega) {
   for (int32_t omega : {1, 2, 4}) {
-    MogAccountant mog(kDelta);
-    ASSERT_TRUE(mog.AddRounds(PoissonRound(q, sigma, omega, steps)).ok());
-    EXPECT_EQ(mog.CumulativeEpsilon(), pld.CumulativeEpsilon())
-        << "omega=" << omega;
+    SCOPED_TRACE("omega=" + std::to_string(omega));
+    auto pld = StageAccountant("pld_fft");
+    auto mog = StageAccountant("mog");
+    for (int64_t step = 1; step <= 12; ++step) {
+      const pipeline::RoundRecord round =
+          PoissonRecord(step, 0.06, step <= 8 ? 2.5 : 1.8, omega);
+      auto pld_decision = pld->TrackRound(round);
+      auto mog_decision = mog->TrackRound(round);
+      ASSERT_TRUE(pld_decision.ok()) << pld_decision.status().message();
+      ASSERT_TRUE(mog_decision.ok()) << mog_decision.status().message();
+      EXPECT_GT(pld_decision->epsilon_after, 0.0);
+      EXPECT_EQ(pld_decision->epsilon_after, mog_decision->epsilon_after)
+          << "step " << step;
+    }
+    EXPECT_EQ(pld->EpsilonSpent(), mog->EpsilonSpent());
+    EXPECT_EQ(pld->SaveBlob(), mog->SaveBlob());
+  }
+}
+
+/// Config validation rejects fixed_batch × pld_fft up front; a
+/// hand-assembled pld_fft stage must still refuse a fixed-batch round,
+/// with the message that names the valid pairs, on both tracking paths.
+TEST(MogAccountantTest, PldFftStageRejectsFixedBatchRound) {
+  pipeline::RoundRecord round = PoissonRecord(1, 0.06, 2.5, 1);
+  round.scheme = core::SamplingScheme::kFixedBatch;
+  round.batch_size = 12;
+  auto pld = StageAccountant("pld_fft");
+  for (const Status& status : {pld->TrackRound(round).status(),
+                               pld->TrackRounds(round, 3).status()}) {
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find(
+                  "accountant \"pld_fft\" models Poisson sampling only; "
+                  "valid (scheme, accountant) pairs are poisson x {rdp, "
+                  "pld_fft, mog} and fixed_batch x {mog}"),
+              std::string::npos)
+        << status.message();
+  }
+  EXPECT_EQ(pld->EpsilonSpent(), 0.0);
+  // The same round is legal under "mog".
+  EXPECT_TRUE(StageAccountant("mog")->TrackRound(round).ok());
+}
+
+/// Checkpoints from builds where pld_fft was a standalone accountant carry
+/// a "PLD1" blob. Both PLD stage names refuse it with a message that says
+/// why and what to do, instead of a generic parse failure.
+TEST(MogAccountantTest, StageRejectsLegacyPldBlobByName) {
+  const std::string blob = test::LegacyPldBlob(kDelta, 0.06, 2.5, 3);
+  for (const char* name : {"pld_fft", "mog"}) {
+    auto accountant = StageAccountant(name);
+    const Status status = accountant->RestoreBlob(blob, 3);
+    ASSERT_FALSE(status.ok()) << name;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(status.message().find("PLD1"), std::string::npos)
+        << status.message();
+    EXPECT_NE(status.message().find("must restart"), std::string::npos)
+        << status.message();
   }
 }
 
@@ -244,14 +318,17 @@ TEST(MogAccountantTest, RejectsForeignAndTruncatedBlobs) {
     EXPECT_FALSE(MogAccountant::Restore(reader).ok());
   }
   {
-    // A pld_fft blob must not parse as a MoG blob, nor vice versa.
-    PldAccountant pld(kDelta);
-    ASSERT_TRUE(pld.AddSteps(0.1, 1.5, 3).ok());
+    // Neither an RDP ledger blob nor an old "PLD1" blob parses as MoG,
+    // and a MoG blob does not parse as an RDP ledger.
+    PrivacyLedger ledger(kDelta);
+    ASSERT_TRUE(ledger.TrackStep(0.1, 1.5).ok());
     ByteWriter writer;
-    pld.SaveState(writer);
-    const std::string blob = writer.Take();
-    ByteReader reader(blob);
-    EXPECT_FALSE(MogAccountant::Restore(reader).ok());
+    ledger.SaveState(writer);
+    for (const std::string& blob :
+         {writer.Take(), test::LegacyPldBlob(kDelta, 0.1, 1.5, 3)}) {
+      ByteReader reader(blob);
+      EXPECT_FALSE(MogAccountant::Restore(reader).ok());
+    }
   }
   {
     MogAccountant mog(kDelta);
@@ -261,12 +338,78 @@ TEST(MogAccountantTest, RejectsForeignAndTruncatedBlobs) {
     std::string mog_blob = writer.Take();
     {
       ByteReader reader(mog_blob);
-      EXPECT_FALSE(PldAccountant::Restore(reader).ok());
+      EXPECT_FALSE(PrivacyLedger::Restore(reader).ok());
     }
     mog_blob.resize(mog_blob.size() / 2);  // truncate mid-entry
     ByteReader reader(mog_blob);
     EXPECT_FALSE(MogAccountant::Restore(reader).ok());
   }
+}
+
+TEST(MogAccountantTest, DeltaDecreasesInEpsilon) {
+  MogAccountant mog(kDelta);
+  ASSERT_TRUE(mog.AddRounds(PoissonRound(0.2, 1.2, 1, 50)).ok());
+  double previous = 1.0;
+  for (double eps = 0.0; eps <= 8.0; eps += 0.5) {
+    const double d = mog.DeltaAtEpsilon(eps);
+    EXPECT_LE(d, previous + 1e-15) << "eps=" << eps;
+    EXPECT_GE(d, 0.0);
+    previous = d;
+  }
+}
+
+/// A spend past the loss grid reports ε = +infinity rather than a finite
+/// under-estimate — through the "pld_fft" stage a run would use.
+TEST(MogAccountantTest, OverflowingGridReportsInfinity) {
+  core::PlpConfig config;
+  config.accountant = "pld_fft";
+  config.delta = kDelta;
+  config.sampling_probability = 1.0;
+  config.noise_scale = 0.05;
+  auto accountant = pipeline::MakeAccountant(config);
+  auto decision = accountant->TrackRounds(PoissonRecord(1, 1.0, 0.05, 1), 500);
+  ASSERT_TRUE(decision.ok()) << decision.status().message();
+  EXPECT_TRUE(std::isinf(decision->epsilon_after));
+  EXPECT_TRUE(decision->exhausted);
+}
+
+/// End-to-end through the trainer facade: selecting "pld_fft" must train
+/// successfully, and its tighter accounting must fit more steps into the
+/// same ε budget than the RDP ledger.
+TEST(MogAccountantTest, EngineFitsMoreStepsThanRdpInSameBudget) {
+  data::FixtureCorpusOptions options;
+  options.num_users = 48;
+  options.num_locations = 24;
+  options.neighborhood = 4;
+  const data::TrainingCorpus corpus = data::MakeFixtureCorpus(777, options);
+
+  core::PlpConfig config;
+  config.sgns.embedding_dim = 8;
+  config.sgns.negatives = 4;
+  config.sampling_probability = 0.25;
+  config.grouping_factor = 2;
+  config.noise_scale = 1.2;
+  config.clip_norm = 0.5;
+  config.batch_size = 8;
+  config.epsilon_budget = 4.0;
+  config.max_steps = 64;
+
+  core::PlpConfig rdp = config;
+  rdp.accountant = "rdp";
+  Rng rng_rdp(99);
+  auto rdp_result = core::PlpTrainer(rdp).Train(corpus, rng_rdp);
+  ASSERT_TRUE(rdp_result.ok()) << rdp_result.status().message();
+  ASSERT_EQ(rdp_result->stop_reason, core::StopReason::kBudgetExhausted);
+
+  core::PlpConfig pld = config;
+  pld.accountant = "pld_fft";
+  Rng rng_pld(99);
+  auto pld_result = core::PlpTrainer(pld).Train(corpus, rng_pld);
+  ASSERT_TRUE(pld_result.ok()) << pld_result.status().message();
+
+  EXPECT_GT(pld_result->steps_executed, rdp_result->steps_executed);
+  EXPECT_GT(pld_result->epsilon_spent, 0.0);
+  EXPECT_LE(pld_result->epsilon_spent, config.epsilon_budget);
 }
 
 /// End-to-end through the trainer facade: selecting "mog" must train, stay

@@ -66,7 +66,8 @@ TEST(LocalModelTest, ExtractDeltaIsExactDifference) {
   local.MutableOutRow(3)[1] -= 0.25;
   local.mutable_bias(5) += 2.0;
 
-  const SparseDelta delta = local.ExtractDelta();
+  SparseDelta delta(base.dim());
+  local.ExtractDeltaInto(delta);
   SgnsModel rebuilt = base;
   delta.ApplyTo(rebuilt, 1.0);
 
@@ -80,14 +81,17 @@ TEST(LocalModelTest, ExtractDeltaIsExactDifference) {
 TEST(LocalModelTest, UntouchedOverlayGivesEmptyDelta) {
   const SgnsModel base = MakeModel(6, 2);
   const LocalModel local(base);
-  EXPECT_TRUE(local.ExtractDelta().empty());
+  SparseDelta delta(base.dim());
+  local.ExtractDeltaInto(delta);
+  EXPECT_TRUE(delta.empty());
 }
 
 TEST(LocalModelTest, TouchedButUnchangedRowsGiveZeroNormDelta) {
   const SgnsModel base = MakeModel(6, 2);
   LocalModel local(base);
   local.MutableInRow(2);  // copy-on-write without modification
-  const SparseDelta delta = local.ExtractDelta();
+  SparseDelta delta(base.dim());
+  local.ExtractDeltaInto(delta);
   EXPECT_EQ(delta.TotalNorm(), 0.0);
 }
 

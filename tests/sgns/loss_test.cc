@@ -228,7 +228,8 @@ TEST(LossTest, ApplySgdBatchOnLocalModelMatchesDenseModel) {
       ApplySgdBatch(overlay, batch, config, kLocations, 0.1, rng_b);
 
   EXPECT_DOUBLE_EQ(stats_a.loss_sum, stats_b.loss_sum);
-  const SparseDelta delta = overlay.ExtractDelta();
+  SparseDelta delta(base.dim());
+  overlay.ExtractDeltaInto(delta);
   SgnsModel rebuilt = base;
   delta.ApplyTo(rebuilt, 1.0);
   for (int ti = 0; ti < kNumTensors; ++ti) {

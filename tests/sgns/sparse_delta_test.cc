@@ -209,7 +209,8 @@ TEST(DiffModelsTest, MatchesLocalModelExtractDelta) {
   overlay.mutable_bias(2) += 1.1;
 
   const SparseDelta from_diff = DiffModels(dense, base);
-  const SparseDelta from_overlay = overlay.ExtractDelta();
+  SparseDelta from_overlay(base.dim());
+  overlay.ExtractDeltaInto(from_overlay);
   EXPECT_NEAR(from_diff.TotalNorm(), from_overlay.TotalNorm(), 1e-12);
 
   // Applying either to a fresh copy of the base gives the mutated model.

@@ -195,7 +195,8 @@ TEST(VectorizedEquivalenceTest, ExtractDeltaBitwiseEqualsScalarSubtraction) {
     for (double& v : overlay.MutableOutRow(l)) v += rng.Uniform(-0.2, 0.2);
     overlay.mutable_bias(l) += rng.Uniform(-0.05, 0.05);
   }
-  SparseDelta delta = overlay.ExtractDelta();
+  SparseDelta delta(base.dim());
+  overlay.ExtractDeltaInto(delta);
   delta.ForEachRow(Tensor::kWIn, [&](int32_t l, std::span<const double> d) {
     for (int32_t i = 0; i < kDim; ++i) {
       EXPECT_EQ(d[i], overlay.InRow(l)[i] - base.InRow(l)[i])

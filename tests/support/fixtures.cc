@@ -1,5 +1,7 @@
 #include "support/fixtures.h"
 
+#include "common/serialize.h"
+
 namespace plp::test {
 
 data::TrainingCorpus UniformCorpus(uint64_t seed, int32_t num_users,
@@ -46,6 +48,20 @@ core::PlpConfig InvariantTrainerConfig() {
   config.epsilon_budget = 5.0;
   config.max_steps = 6;
   return config;
+}
+
+std::string LegacyPldBlob(double delta, double q, double sigma,
+                          int64_t steps) {
+  ByteWriter writer;
+  writer.U32(0x31444C50);  // "PLD1" little-endian
+  writer.F64(delta);
+  writer.I32(15);    // log2 grid size
+  writer.F64(32.0);  // grid range
+  writer.U64(1);     // entry count
+  writer.F64(q);
+  writer.F64(sigma);
+  writer.I64(steps);
+  return writer.Take();
 }
 
 }  // namespace plp::test

@@ -2,6 +2,7 @@
 #define PLP_TESTS_SUPPORT_FIXTURES_H_
 
 #include <cstdint>
+#include <string>
 
 #include "core/config.h"
 #include "data/corpus.h"
@@ -33,6 +34,12 @@ core::PlpConfig FastTrainerConfig();
 /// The config privacy-invariant suites share: dim 6, 4 negatives,
 /// q = 0.25, σ = 2, budget 5, 6 steps.
 core::PlpConfig InvariantTrainerConfig();
+
+/// An accountant blob in the "PLD1" layout that builds with a standalone
+/// pld_fft accountant wrote into checkpoints: magic 0x31444C50, δ, the
+/// default grid options, then one (q, σ, steps) entry.
+std::string LegacyPldBlob(double delta, double q, double sigma,
+                          int64_t steps);
 
 }  // namespace plp::test
 

@@ -14,6 +14,11 @@
 //             [--checkpoint_dir=ckpts] [--checkpoint_every_steps=25] \
 //             [--resume] [--rss_cap_mb=0]
 //
+// --accountant picks the ε oracle: rdp (RDP moments ledger, the default)
+// or mog (FFT-composed privacy-loss distribution). pld_fft is another name
+// for mog restricted to Poisson sampling; mog and pld_fft checkpoints
+// resume under either name.
+//
 // Instead of a CSV, --corpus_dir=DIR trains straight from an on-disk PLPD
 // corpus (see plp_corpus_gen): shards are memory-mapped and check-ins are
 // read zero-copy, so corpus size does not bound resident memory. The two
