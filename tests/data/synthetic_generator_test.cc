@@ -1,5 +1,6 @@
 #include "data/synthetic_generator.h"
 
+#include <ostream>
 #include <set>
 #include <unordered_set>
 
@@ -189,6 +190,11 @@ struct BadConfigCase {
   const char* name;
   SyntheticConfig config;
 };
+
+// Without a printer gtest lists a case as its raw bytes, which start with
+// the name pointer and so differ from run to run under ASLR; the
+// discovered CTest names would too.
+void PrintTo(const BadConfigCase& c, std::ostream* os) { *os << c.name; }
 
 class GeneratorValidationTest
     : public testing::TestWithParam<BadConfigCase> {};
