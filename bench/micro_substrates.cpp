@@ -1,7 +1,7 @@
 // Micro-benchmarks of the hot substrates (google-benchmark): RNG draws,
-// RowMap vs std::unordered_map, skip-gram batch gradients, the local
-// overlay vs dense model copy, subsampled-Gaussian RDP evaluation, and the
-// synthetic generator.
+// RowMap vs std::unordered_map, skip-gram batch gradients, one whole
+// bucket's local update, the local overlay vs dense model copy,
+// subsampled-Gaussian RDP evaluation, and the synthetic generator.
 
 #include <unordered_map>
 #include <vector>
@@ -10,6 +10,9 @@
 
 #include "common/math_util.h"
 #include "common/rng.h"
+#include "core/bucket_update.h"
+#include "core/config.h"
+#include "core/grouping.h"
 #include "data/synthetic_generator.h"
 #include "privacy/rdp_accountant.h"
 #include "sgns/local_model.h"
@@ -17,6 +20,7 @@
 #include "sgns/model.h"
 #include "sgns/pairs.h"
 #include "sgns/row_map.h"
+#include "sgns/train_scratch.h"
 
 namespace plp {
 namespace {
@@ -266,15 +270,57 @@ void BM_SgnsBatchGradient(benchmark::State& state) {
         static_cast<int32_t>(rng.UniformInt(uint64_t{5069})),
         static_cast<int32_t>(rng.UniformInt(uint64_t{5069}))});
   }
+  // The trainer reuses one gradient and one set of pair buffers across
+  // batches, so the bench does too: it times the gradient, not allocation.
+  sgns::SparseDelta gradient(config.embedding_dim);
+  sgns::PairBuffers buffers;
   for (auto _ : state) {
-    sgns::SparseDelta gradient(config.embedding_dim);
+    gradient.Clear();
     benchmark::DoNotOptimize(sgns::AccumulateBatchGradient(
-        model, batch, config, locations, rng, gradient));
+        model, batch, config, locations, rng, gradient, &buffers));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(batch.size()));
 }
 BENCHMARK(BM_SgnsBatchGradient);
+
+// One paper-shaped bucket (L = 5069, d = 50, λ = 4 users, 600 tokens)
+// through Algorithm 1's local update (lines 15–20) with the per-worker
+// scratch and delta slot reused, as in the trainer's steady state. Every
+// iteration replays the same RNG stream, so each times identical work.
+void BM_BucketLocalUpdate(benchmark::State& state) {
+  const int32_t locations = 5069;
+  const sgns::SgnsModel model = BenchModel(locations);
+  core::PlpConfig config;
+  Rng data_rng(7);
+  core::Bucket bucket;
+  for (int32_t user = 0; user < 4; ++user) {
+    bucket.users.push_back(user);
+    // Sentences revisit a neighbourhood of locations, as check-in
+    // sessions do, so rows repeat within and across batches.
+    for (int s = 0; s < 15; ++s) {
+      const int32_t base = static_cast<int32_t>(
+          data_rng.UniformInt(static_cast<uint64_t>(locations - 40)));
+      std::vector<int32_t> sentence;
+      for (int t = 0; t < 10; ++t) {
+        sentence.push_back(
+            base + static_cast<int32_t>(data_rng.UniformInt(uint64_t{40})));
+      }
+      bucket.sentences.push_back(std::move(sentence));
+    }
+  }
+  sgns::TrainScratch scratch(config.sgns.embedding_dim);
+  sgns::SparseDelta delta(config.sgns.embedding_dim);
+  double loss = 0.0;
+  for (auto _ : state) {
+    Rng rng(8);
+    core::ComputeRawBucketDeltaInto(model, bucket, config, locations, rng,
+                                    &loss, &scratch, delta);
+    benchmark::DoNotOptimize(loss);
+  }
+  state.SetItemsProcessed(state.iterations() * bucket.num_tokens());
+}
+BENCHMARK(BM_BucketLocalUpdate)->Unit(benchmark::kMillisecond);
 
 void BM_LocalOverlayTouch(benchmark::State& state) {
   const sgns::SgnsModel model = BenchModel(5069);

@@ -10,10 +10,10 @@
 // synthetic corpus, twice: single-threaded (the pre-parallel baseline
 // path) and with --threads workers. Reports steps/sec for both, the
 // parallel speedup, and the per-phase wall-clock breakdown of the
-// multi-threaded run (sampling/grouping, local SGD, reduction, noise,
-// server apply) — so a regression in one stage can't hide inside the
-// aggregate. The determinism contract means both runs produce the same
-// model bits; this bench only measures time.
+// multi-threaded run (accounting, sampling/grouping, local SGD,
+// reduction, noise, server apply) — so a regression in one stage can't
+// hide inside the aggregate. The determinism contract means both runs
+// produce the same model bits; this bench only measures time.
 //
 // Results print as a table and are written as JSON (--json) so CI can
 // archive BENCH_training.json next to BENCH_serving.json. A positive
@@ -119,8 +119,9 @@ int main(int argc, char** argv) {
   if (!skip_baseline) std::printf("speedup   : %.2fx\n", speedup);
 
   const plp::core::TrainPhaseSeconds& ph = multi.phases;
-  const double accounted = ph.sampling_grouping + ph.local_sgd +
-                           ph.reduction + ph.noise + ph.server_apply;
+  const double accounted = ph.accounting + ph.sampling_grouping +
+                           ph.local_sgd + ph.reduction + ph.noise +
+                           ph.server_apply;
   plp::TablePrinter table({"phase", "seconds", "share_pct"});
   auto add = [&](const std::string& name, double seconds) {
     table.NewRow();
@@ -128,6 +129,7 @@ int main(int argc, char** argv) {
     table.AddCell(seconds, 4);
     table.AddCell(accounted > 0.0 ? 100.0 * seconds / accounted : 0.0, 1);
   };
+  add("accounting", ph.accounting);
   add("sampling_grouping", ph.sampling_grouping);
   add("local_sgd", ph.local_sgd);
   add("reduction", ph.reduction);
@@ -149,6 +151,7 @@ int main(int argc, char** argv) {
        << "  \"steps_per_sec\": " << multi.steps_per_sec << ",\n"
        << "  \"speedup\": " << speedup << ",\n"
        << "  \"phase_seconds\": {\n"
+       << "    \"accounting\": " << ph.accounting << ",\n"
        << "    \"sampling_grouping\": " << ph.sampling_grouping << ",\n"
        << "    \"local_sgd\": " << ph.local_sgd << ",\n"
        << "    \"reduction\": " << ph.reduction << ",\n"

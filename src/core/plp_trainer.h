@@ -47,6 +47,7 @@ enum class StopReason {
 /// The training-throughput bench reports this breakdown so regressions in
 /// one stage don't hide inside the aggregate steps/sec.
 struct TrainPhaseSeconds {
+  double accounting = 0.0;         ///< privacy accountant (lines 11–13)
   double sampling_grouping = 0.0;  ///< Poisson sample + bucket grouping
   double local_sgd = 0.0;          ///< per-bucket local training (lines 7–8)
   double reduction = 0.0;          ///< Σ bucket deltas into the dense sum

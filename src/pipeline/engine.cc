@@ -173,6 +173,7 @@ Result<core::TrainResult> TrainingEngine::Train(
   for (int64_t step = start_step + 1; step <= config_.max_steps; ++step) {
     // Consume this step's budget first; if it overruns, return θ_{t-1} —
     // the model *before* this step's update (Algorithm 1 lines 11–13).
+    Stopwatch phase;
     RoundRecord round = round_template;
     round.step = step;
     round.noise_multiplier = config_.policy.noise_multiplier_at
@@ -180,6 +181,7 @@ Result<core::TrainResult> TrainingEngine::Train(
                                  : 0.0;
     PLP_ASSIGN_OR_RETURN(const BudgetDecision decision,
                          stages_.accountant->TrackRound(round));
+    result.phase_seconds.accounting += phase.ElapsedSeconds();
     if (decision.exhausted) {
       result.stop_reason = core::StopReason::kBudgetExhausted;
       break;
@@ -190,9 +192,8 @@ Result<core::TrainResult> TrainingEngine::Train(
     metrics.epsilon_spent = decision.epsilon_after;
     result.epsilon_spent = decision.epsilon_after;
 
-    Stopwatch phase;
-
     // Lines 5–6: user sample, then data grouping.
+    phase.Reset();
     const std::vector<int32_t> sampled = stages_.sampler->Sample(corpus, rng);
     const std::vector<core::Bucket> buckets =
         stages_.grouper->Group(corpus, sampled, rng);

@@ -486,7 +486,9 @@ class EpochSgdUpdater final : public LocalUpdater {
  public:
   EpochSgdUpdater(const core::NonPrivateConfig& config,
                   SparseAdamServer* server)
-      : config_(config), server_(server) {}
+      : config_(config),
+        server_(server),
+        gradient_(config.sgns.embedding_dim) {}
 
   bool BucketParallel() const override { return false; }
 
@@ -550,13 +552,16 @@ class EpochSgdUpdater final : public LocalUpdater {
                    start + static_cast<size_t>(config_.batch_size));
       const std::span<const sgns::Pair> batch(all_pairs_.data() + start,
                                               end - start);
-      sgns::SparseDelta gradient(config_.sgns.embedding_dim);
+      // One gradient and one set of pair buffers serve every batch; a
+      // Clear()ed map iterates exactly like a fresh one, so reuse only
+      // drops the per-batch allocations.
+      gradient_.Clear();
       const sgns::BatchStats stats = sgns::AccumulateBatchGradient(
-          model, batch, config_.sgns, corpus.NumLocations(), rng, gradient,
-          /*buffers=*/nullptr,
+          model, batch, config_.sgns, corpus.NumLocations(), rng, gradient_,
+          &buffers_,
           negative_table_.has_value() ? &*negative_table_ : nullptr);
       server_->adam()->ApplyGradient(
-          gradient, 1.0 / static_cast<double>(batch.size()), model);
+          gradient_, 1.0 / static_cast<double>(batch.size()), model);
       loss_sum += stats.loss_sum;
       pairs += stats.num_pairs;
     }
@@ -598,6 +603,8 @@ class EpochSgdUpdater final : public LocalUpdater {
   std::vector<double> keep_probability_;
   std::vector<sgns::Pair> pristine_pairs_;
   std::vector<sgns::Pair> all_pairs_;
+  sgns::SparseDelta gradient_;  ///< batch gradient, Clear()ed per batch
+  sgns::PairBuffers buffers_;   ///< candidate/logit scratch
 };
 
 }  // namespace

@@ -28,11 +28,11 @@ class LocalModel {
       : base_(&base), in_rows_(base.dim()), out_rows_(base.dim()), bias_(1) {}
 
   /// Rebinds the overlay to `base` and drops every touched row, keeping
-  /// the row stores' tables and arenas. A reused overlay inserts, probes
+  /// the row stores' indexes and arenas. A reused overlay inserts, finds
   /// and iterates exactly like a freshly constructed one (RowMap behavior
   /// is independent of capacity), so reuse across buckets is bitwise
-  /// result-neutral — it only removes the per-bucket grow-from-16-slots
-  /// allocation ladder. `base` must have the same dim as the original.
+  /// result-neutral — it only removes the per-bucket index and arena
+  /// allocations. `base` must have the same dim as the original.
   void Reset(const SgnsModel& base) {
     PLP_CHECK_EQ(base.dim(), dim());
     base_ = &base;

@@ -146,7 +146,9 @@ BatchStats AccumulateBatchGradient(const Model& model,
   buf.logits.resize(static_cast<size_t>(num_candidates));
   buf.dlogits.resize(static_cast<size_t>(num_candidates));
   buf.grad_h.resize(static_cast<size_t>(dim));
+  buf.out_rows.resize(static_cast<size_t>(num_candidates));
   std::vector<int32_t>& candidates = buf.candidates;
+  std::vector<const double*>& out_rows = buf.out_rows;
   AlignedVector<double>& logits = buf.logits;
   AlignedVector<double>& dlogits = buf.dlogits;
   AlignedVector<double>& grad_h = buf.grad_h;
@@ -162,16 +164,20 @@ BatchStats AccumulateBatchGradient(const Model& model,
                                                   pair.context,
                                                   negative_table);
     }
+    // Each candidate's W' row is looked up once and the pointer reused by
+    // the forward dot and the backprop: `model` is constant for the whole
+    // batch, so the cached row is exactly what a fresh lookup would return.
     // The candidate rows are uniform-random draws over W', which at
     // realistic L does not fit in L2 — without a hint the forward dots
-    // stall on one row-sized miss each. Prefetching the whole candidate
-    // set first lets those loads overlap.
+    // stall on a miss each. Prefetching the first 64 B line of every
+    // candidate row before the first dot lets those leading misses overlap;
+    // the rest of each row streams in behind it during its dot.
     for (int32_t i = 0; i < num_candidates; ++i) {
-      __builtin_prefetch(model.OutRow(candidates[i]).data());
+      out_rows[i] = model.OutRow(candidates[i]).data();
+      __builtin_prefetch(out_rows[i]);
     }
     for (int32_t i = 0; i < num_candidates; ++i) {
-      logits[i] = DotKernel(model.OutRow(candidates[i]).data(), h.data(),
-                            static_cast<size_t>(dim)) +
+      logits[i] = DotKernel(out_rows[i], h.data(), static_cast<size_t>(dim)) +
                   model.bias(candidates[i]);
     }
 
@@ -215,11 +221,10 @@ BatchStats AccumulateBatchGradient(const Model& model,
     std::fill(grad_h.begin(), grad_h.end(), 0.0);
     for (int32_t i = 0; i < num_candidates; ++i) {
       const double g = dlogits[i];
-      const std::span<const double> out_row = model.OutRow(candidates[i]);
       const std::span<double> grad_out =
           gradient.Row(Tensor::kWOut, candidates[i]);
       AxpyKernel(g, h.data(), grad_out.data(), static_cast<size_t>(dim));
-      AxpyKernel(g, out_row.data(), grad_h.data(), static_cast<size_t>(dim));
+      AxpyKernel(g, out_rows[i], grad_h.data(), static_cast<size_t>(dim));
       gradient.AddBias(candidates[i], g);
     }
     const std::span<double> grad_in = gradient.Row(Tensor::kWIn, pair.target);

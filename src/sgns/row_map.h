@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -11,13 +12,17 @@
 
 namespace plp::sgns {
 
-/// Open-addressing hash map from int32 row id to a fixed-width row of
-/// doubles, stored contiguously in insertion order.
+/// Map from a non-negative int32 row id to a fixed-width row of doubles,
+/// stored contiguously in insertion order.
 ///
 /// This is the hot data structure of local training: every candidate row
-/// access in the sampled-softmax inner loop goes through one of these. It
-/// beats std::unordered_map by avoiding per-node allocation and pointer
-/// chasing — rows live in one arena, and the table is a flat probe array.
+/// access in the sampled-softmax inner loop goes through one of these.
+/// Row ids are location ids, dense in [0, L), so the lookup is a direct
+/// index — one load from a key → arena-position vector, no hashing or
+/// probing — the way word2vec trainers index embedding rows by vocabulary
+/// id. The index grows lazily to the largest key seen and costs
+/// 4 B × (max key + 1) per map (vector growth may round its capacity up to
+/// twice that).
 /// Erasure is intentionally unsupported (training only ever inserts).
 ///
 /// The arena is 64-byte aligned. Rows of SIMD-relevant width (dim >= 8)
@@ -35,7 +40,6 @@ class RowMap {
       : dim_(static_cast<size_t>(dim)),
         stride_(dim_ < 8 ? dim_ : PaddedRowStride(dim_)) {
     PLP_CHECK_GE(dim, 1);
-    Rehash(16);
   }
 
   size_t size() const { return entry_keys_.size(); }
@@ -59,45 +63,42 @@ class RowMap {
   /// `inserted` (optional) reports whether the row is new. Spans are
   /// invalidated by the next insertion.
   std::span<double> FindOrInsertZero(int32_t key, bool* inserted = nullptr) {
-    size_t slot = Probe(key);
-    if (slots_[slot].key == kEmpty) {
-      if ((entry_keys_.size() + 1) * 4 > slots_.size() * 3) {
-        Rehash(slots_.size() * 2);
-        slot = Probe(key);
-      }
-      slots_[slot].key = key;
-      slots_[slot].index = static_cast<uint32_t>(entry_keys_.size());
-      const size_t offset = entry_keys_.size() * stride_;
-      entry_keys_.push_back(key);
-      // The arena's size is its capacity: it never shrinks (Clear() keeps
-      // it), so the steady-state insert is one inlined fill of the new
-      // row — resize()'s out-of-line element construction on every insert
-      // was the single hottest call in the whole trainer profile.
-      if (arena_.size() < offset + stride_) {
-        // Geometric growth; resize value-initializes the new region to 0.
-        arena_.resize(std::max(arena_.size() * 2, offset + stride_));
-      } else {
-        // Reused storage may hold a stale row from before a Clear().
-        std::fill_n(arena_.data() + offset, stride_, 0.0);
-      }
-      if (inserted != nullptr) *inserted = true;
-      return RowAt(entry_keys_.size() - 1);
+    const size_t k = CheckedKey(key);
+    if (k >= index_.size()) index_.resize(k + 1, kAbsent);
+    uint32_t& pos = index_[k];
+    if (pos != kAbsent) {
+      if (inserted != nullptr) *inserted = false;
+      return RowAt(pos);
     }
-    if (inserted != nullptr) *inserted = false;
-    return RowAt(slots_[slot].index);
+    pos = static_cast<uint32_t>(entry_keys_.size());
+    const size_t offset = entry_keys_.size() * stride_;
+    entry_keys_.push_back(key);
+    // The arena's size is its capacity: it never shrinks (Clear() keeps
+    // it), so the steady-state insert is one inlined fill of the new row —
+    // resize()'s out-of-line element construction on every insert was the
+    // single hottest call in the whole trainer profile.
+    if (arena_.size() < offset + stride_) {
+      // Geometric growth; resize value-initializes the new region to 0.
+      arena_.resize(std::max(arena_.size() * 2, offset + stride_));
+    } else {
+      // Reused storage may hold a stale row from before a Clear().
+      std::fill_n(arena_.data() + offset, stride_, 0.0);
+    }
+    if (inserted != nullptr) *inserted = true;
+    return RowAt(pos);
   }
 
   /// Returns the row for `key`, or an empty span if absent.
   std::span<const double> Find(int32_t key) const {
-    const size_t slot = Probe(key);
-    if (slots_[slot].key == kEmpty) return {};
-    return RowAt(slots_[slot].index);
+    const uint32_t pos = PositionOf(key);
+    if (pos == kAbsent) return {};
+    return RowAt(pos);
   }
 
   std::span<double> FindMutable(int32_t key) {
-    const size_t slot = Probe(key);
-    if (slots_[slot].key == kEmpty) return {};
-    return RowAt(slots_[slot].index);
+    const uint32_t pos = PositionOf(key);
+    if (pos == kAbsent) return {};
+    return RowAt(pos);
   }
 
   /// Calls fn(key, std::span<const double>) for every row in insertion
@@ -118,70 +119,46 @@ class RowMap {
   }
 
   /// Removes all rows but keeps capacity (cheap reuse across batches).
+  /// Only the present keys' index entries are reset, so this is O(size()).
   /// Stale arena contents are re-zeroed row-by-row on reuse.
   void Clear() {
-    for (Slot& s : slots_) s.key = kEmpty;
+    for (const int32_t key : entry_keys_) {
+      index_[static_cast<size_t>(key)] = kAbsent;
+    }
     entry_keys_.clear();
   }
 
-  /// Pre-sizes the probe table and arena for `rows` rows, so a burst of
-  /// inserts of known cardinality (e.g. delta extraction) skips the
-  /// rehash-and-regrow ladder a fresh map would otherwise climb.
+  /// Pre-sizes the arena for `rows` rows, so a burst of inserts of known
+  /// cardinality (e.g. delta extraction) skips the regrow ladder a fresh
+  /// map would otherwise climb.
   void Reserve(size_t rows) {
-    size_t capacity = slots_.size();
-    while (rows * 4 > capacity * 3) capacity *= 2;
-    if (capacity != slots_.size()) Rehash(capacity);
     if (arena_.size() < rows * stride_) arena_.resize(rows * stride_);
     entry_keys_.reserve(rows);
   }
 
  private:
-  static constexpr int32_t kEmpty = -1;
+  static constexpr uint32_t kAbsent = std::numeric_limits<uint32_t>::max();
 
-  struct Slot {
-    int32_t key = kEmpty;
-    uint32_t index = 0;
-  };
-
-  static size_t Hash(int32_t key) {
-    // Finalizer of splitmix32: good avalanche for sequential ids.
-    uint32_t x = static_cast<uint32_t>(key);
-    x = (x ^ (x >> 16)) * 0x7FEB352DU;
-    x = (x ^ (x >> 15)) * 0x846CA68BU;
-    return x ^ (x >> 16);
-  }
-
-  size_t Probe(int32_t key) const {
+  static size_t CheckedKey(int32_t key) {
     PLP_CHECK_GE(key, 0);
-    size_t slot = Hash(key) & mask_;
-    while (slots_[slot].key != kEmpty && slots_[slot].key != key) {
-      slot = (slot + 1) & mask_;
-    }
-    return slot;
+    return static_cast<size_t>(key);
   }
 
-  std::span<double> RowAt(size_t index) {
-    return {arena_.data() + index * stride_, dim_};
-  }
-  std::span<const double> RowAt(size_t index) const {
-    return {arena_.data() + index * stride_, dim_};
+  uint32_t PositionOf(int32_t key) const {
+    const size_t k = CheckedKey(key);
+    return k < index_.size() ? index_[k] : kAbsent;
   }
 
-  void Rehash(size_t new_capacity) {
-    slots_.assign(new_capacity, Slot{});
-    mask_ = new_capacity - 1;
-    for (size_t i = 0; i < entry_keys_.size(); ++i) {
-      size_t slot = Hash(entry_keys_[i]) & mask_;
-      while (slots_[slot].key != kEmpty) slot = (slot + 1) & mask_;
-      slots_[slot].key = entry_keys_[i];
-      slots_[slot].index = static_cast<uint32_t>(i);
-    }
+  std::span<double> RowAt(size_t pos) {
+    return {arena_.data() + pos * stride_, dim_};
+  }
+  std::span<const double> RowAt(size_t pos) const {
+    return {arena_.data() + pos * stride_, dim_};
   }
 
   size_t dim_;
   size_t stride_;
-  size_t mask_ = 0;
-  std::vector<Slot> slots_;
+  std::vector<uint32_t> index_;  ///< key → arena position, kAbsent if none
   std::vector<int32_t> entry_keys_;
   AlignedVector<double> arena_;
 };

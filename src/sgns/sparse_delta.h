@@ -108,7 +108,8 @@ class SparseDelta {
   /// Mutable row accumulator (zero-initialized on first access). `tensor`
   /// must be kWIn or kWOut. The span is invalidated by the next Row call.
   /// Inline: this and AddBias are the per-candidate accesses of the
-  /// backward loop, hot enough that the probe must inline into callers.
+  /// backward loop, hot enough that the row lookup must inline into
+  /// callers.
   std::span<double> Row(Tensor tensor, int32_t row) {
     PLP_CHECK(tensor == Tensor::kWIn || tensor == Tensor::kWOut);
     return (tensor == Tensor::kWIn ? in_rows_ : out_rows_)

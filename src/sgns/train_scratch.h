@@ -18,6 +18,7 @@ namespace plp::sgns {
 /// spans end to end.
 struct PairBuffers {
   std::vector<int32_t> candidates;
+  std::vector<const double*> out_rows;  ///< W' row of each candidate
   AlignedVector<double> logits;
   AlignedVector<double> dlogits;
   AlignedVector<double> grad_h;

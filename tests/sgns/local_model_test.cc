@@ -1,13 +1,16 @@
 #include "sgns/local_model.h"
 
+#include <tuple>
+#include <vector>
+
 #include <gtest/gtest.h>
 #include "common/rng.h"
 
 namespace plp::sgns {
 namespace {
 
-SgnsModel MakeModel(int32_t locations, int32_t dim) {
-  Rng rng(9);
+SgnsModel MakeModel(int32_t locations, int32_t dim, uint64_t seed = 9) {
+  Rng rng(seed);
   SgnsConfig config;
   config.embedding_dim = dim;
   auto model = SgnsModel::Create(locations, config, rng);
@@ -109,6 +112,49 @@ TEST(LocalModelTest, ManyRowsStressConsistency) {
   for (int32_t l = 0; l < 200; ++l) {
     EXPECT_NEAR(local.InRow(l)[0], base.InRow(l)[0] + expected[l], 1e-9);
   }
+}
+
+// Every (tensor, row, values) of `delta`, in iteration order.
+std::vector<std::tuple<Tensor, int32_t, std::vector<double>>> DeltaRows(
+    const SparseDelta& delta) {
+  std::vector<std::tuple<Tensor, int32_t, std::vector<double>>> rows;
+  for (const Tensor t : {Tensor::kWIn, Tensor::kWOut, Tensor::kBias}) {
+    delta.ForEachRow(t, [&](int32_t row, std::span<const double> vec) {
+      rows.emplace_back(t, row, std::vector<double>(vec.begin(), vec.end()));
+    });
+  }
+  return rows;
+}
+
+// A fixed sequence of copy-on-write updates, touching rows in an order
+// that is not sorted by id.
+void TouchRows(LocalModel& local) {
+  for (const int32_t l : {37, 4, 120, 4, 0, 63}) {
+    local.MutableInRow(l)[1] += 0.125 * l;
+    local.MutableOutRow((l * 7) % 150)[0] -= 0.5;
+    local.mutable_bias(l) += 1.0;
+  }
+}
+
+TEST(LocalModelTest, ResetOntoDifferentBaseMatchesFreshOverlay) {
+  const SgnsModel first = MakeModel(150, 9, /*seed=*/1);
+  const SgnsModel second = MakeModel(150, 9, /*seed=*/2);
+
+  LocalModel reused(first);
+  for (int32_t l = 149; l >= 0; l -= 3) reused.MutableInRow(l)[0] += 1.0;
+  reused.mutable_bias(148) = 5.0;
+  reused.Reset(second);
+  TouchRows(reused);
+
+  LocalModel fresh(second);
+  TouchRows(fresh);
+
+  SparseDelta reused_delta(second.dim());
+  SparseDelta fresh_delta(second.dim());
+  reused.ExtractDeltaInto(reused_delta);
+  fresh.ExtractDeltaInto(fresh_delta);
+  EXPECT_FALSE(fresh_delta.empty());
+  EXPECT_EQ(DeltaRows(reused_delta), DeltaRows(fresh_delta));
 }
 
 }  // namespace

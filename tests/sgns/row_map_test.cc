@@ -1,6 +1,8 @@
 #include "sgns/row_map.h"
 
+#include <cstring>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,6 +10,34 @@
 
 namespace plp::sgns {
 namespace {
+
+// Random inserts/accumulates over keys in [0, 500); with `reference`
+// non-null, mirrors every update into it.
+void RunRandomWorkload(
+    RowMap& map, uint64_t seed,
+    std::map<int32_t, std::vector<double>>* reference = nullptr) {
+  const uint64_t dim = static_cast<uint64_t>(map.dim());
+  Rng rng(seed);
+  for (int i = 0; i < 20000; ++i) {
+    const int32_t key = static_cast<int32_t>(rng.UniformInt(uint64_t{500}));
+    const size_t d = static_cast<size_t>(rng.UniformInt(dim));
+    const double delta = rng.Uniform() - 0.5;
+    map.FindOrInsertZero(key)[d] += delta;
+    if (reference != nullptr) {
+      auto& ref = reference->try_emplace(key, std::vector<double>(dim, 0.0))
+                      .first->second;
+      ref[d] += delta;
+    }
+  }
+}
+
+std::vector<std::pair<int32_t, std::vector<double>>> Rows(const RowMap& map) {
+  std::vector<std::pair<int32_t, std::vector<double>>> rows;
+  map.ForEach([&](int32_t key, std::span<const double> row) {
+    rows.emplace_back(key, std::vector<double>(row.begin(), row.end()));
+  });
+  return rows;
+}
 
 TEST(RowMapTest, InsertAndFind) {
   RowMap map(3);
@@ -101,22 +131,77 @@ TEST(RowMapTest, MatchesReferenceMapUnderRandomWorkload) {
   // Property test: random inserts/accumulates agree with std::map.
   RowMap map(4);
   std::map<int32_t, std::vector<double>> reference;
-  Rng rng(99);
-  for (int i = 0; i < 20000; ++i) {
-    const int32_t key = static_cast<int32_t>(rng.UniformInt(uint64_t{500}));
-    const int d = static_cast<int>(rng.UniformInt(uint64_t{4}));
-    const double delta = rng.Uniform() - 0.5;
-    map.FindOrInsertZero(key)[d] += delta;
-    auto& ref = reference.try_emplace(key, std::vector<double>(4, 0.0))
-                    .first->second;
-    ref[d] += delta;
-  }
+  RunRandomWorkload(map, 99, &reference);
   EXPECT_EQ(map.size(), reference.size());
   for (const auto& [key, ref] : reference) {
     const std::span<const double> row = map.Find(key);
     ASSERT_FALSE(row.empty());
     for (int d = 0; d < 4; ++d) EXPECT_DOUBLE_EQ(row[d], ref[d]);
   }
+}
+
+TEST(RowMapTest, FarKeyIsFoundAndIterationFollowsInsertionOrder) {
+  RowMap map(2);
+  const std::vector<int32_t> keys = {3, 1000000, 7};
+  for (int32_t k : keys) map.FindOrInsertZero(k)[0] = k + 0.5;
+  for (int32_t k : keys) {
+    const std::span<const double> row = map.Find(k);
+    ASSERT_FALSE(row.empty()) << k;
+    EXPECT_EQ(row[0], k + 0.5);
+  }
+  EXPECT_TRUE(map.Find(999999).empty());
+  EXPECT_TRUE(map.Find(1000001).empty());
+  std::vector<int32_t> seen;
+  map.ForEach([&](int32_t key, std::span<const double>) {
+    seen.push_back(key);
+  });
+  EXPECT_EQ(seen, keys);
+}
+
+TEST(RowMapTest, ClearForgetsKeysAndReinsertionIteratesNewOrderOnly) {
+  RowMap map(3);
+  for (int32_t k : {40, 2, 17, 900}) map.FindOrInsertZero(k)[1] = 1.0;
+  map.Clear();
+  for (int32_t k : {40, 2, 17, 900}) EXPECT_TRUE(map.Find(k).empty()) << k;
+  const std::vector<int32_t> fresh_keys = {5, 900, 1};
+  for (int32_t k : fresh_keys) {
+    bool inserted = false;
+    const std::span<double> row = map.FindOrInsertZero(k, &inserted);
+    EXPECT_TRUE(inserted) << k;
+    EXPECT_EQ(row[1], 0.0) << k;  // no stale value survives the Clear()
+  }
+  EXPECT_TRUE(map.Find(40).empty());
+  std::vector<int32_t> seen;
+  map.ForEach([&](int32_t key, std::span<const double>) {
+    seen.push_back(key);
+  });
+  EXPECT_EQ(seen, fresh_keys);
+}
+
+TEST(RowMapTest, ReusedAfterClearMatchesFreshMapBitwise) {
+  // LocalModel::Reset relies on this: a Clear()ed map, whose arena holds
+  // stale rows and whose index already spans every key, must give the same
+  // bits as a fresh one. dim = 12 is padded to a stride of 16, so Flat()
+  // also checks that the padding tail is re-zeroed.
+  RowMap reused(12);
+  RunRandomWorkload(reused, 7);
+  reused.Clear();
+  RunRandomWorkload(reused, 99);
+  RowMap fresh(12);
+  RunRandomWorkload(fresh, 99);
+
+  EXPECT_EQ(Rows(reused), Rows(fresh));
+  const std::span<const double> a = reused.Flat();
+  const std::span<const double> b = fresh.Flat();
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size_bytes()), 0);
+}
+
+TEST(RowMapDeathTest, NegativeKeyDies) {
+  RowMap map(2);
+  map.FindOrInsertZero(1);
+  EXPECT_DEATH(map.FindOrInsertZero(-1), "PLP_CHECK");
+  EXPECT_DEATH(map.Find(-5), "PLP_CHECK");
 }
 
 TEST(RowMapTest, ScalarMode) {
