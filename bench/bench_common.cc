@@ -1,7 +1,12 @@
 #include "bench/bench_common.h"
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <utility>
 
 #include "common/check.h"
@@ -269,6 +274,59 @@ void PrintBanner(const std::string& figure, const BenchOptions& options,
       workload.corpus->NumUsers(), workload.corpus->NumLocations(),
       static_cast<long long>(workload.corpus->NumTokens()),
       workload.validation.size(), workload.test.size());
+}
+
+Spread Summarize(std::vector<double> samples) {
+  PLP_CHECK(!samples.empty());
+  std::sort(samples.begin(), samples.end());
+  const size_t n = samples.size();
+  Spread spread;
+  spread.median = n % 2 == 1
+                      ? samples[n / 2]
+                      : 0.5 * (samples[n / 2 - 1] + samples[n / 2]);
+  spread.min = samples.front();
+  spread.max = samples.back();
+  return spread;
+}
+
+std::string SpreadJson(const Spread& spread) {
+  std::ostringstream out;
+  out << "{\"median\": " << spread.median << ", \"min\": " << spread.min
+      << ", \"max\": " << spread.max << "}";
+  return out.str();
+}
+
+namespace {
+
+std::string CpuModel() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t colon = line.find(':');
+    if (colon != std::string::npos && colon + 2 <= line.size()) {
+      return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
+std::string JsonString(const std::string& text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += static_cast<unsigned char>(c) < 0x20 ? ' ' : c;
+  }
+  return out + "\"";
+}
+
+}  // namespace
+
+std::string HostFactsJson() {
+  return "\"nproc\": " + std::to_string(sysconf(_SC_NPROCESSORS_ONLN)) +
+         ", \"cpu_model\": " + JsonString(CpuModel()) +
+         ", \"build_type\": " + JsonString(PLP_BENCH_BUILD_TYPE) +
+         ", \"compiler\": " + JsonString(PLP_BENCH_COMPILER);
 }
 
 }  // namespace plp::bench

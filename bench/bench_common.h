@@ -142,6 +142,25 @@ double EvalHr(const sgns::SgnsModel& model,
 void PrintBanner(const std::string& figure, const BenchOptions& options,
                  const Workload& workload);
 
+/// The median and range of one metric over a bench's repetitions.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+/// Summarizes `samples` (at least one); an even count takes the mean of
+/// the two middle values as its median.
+Spread Summarize(std::vector<double> samples);
+
+/// `{"median": m, "min": lo, "max": hi}` for a JSON report.
+std::string SpreadJson(const Spread& spread);
+
+/// The host a bench figure was measured on, as the members of a JSON
+/// object: `"nproc": …, "cpu_model": …, "build_type": …, "compiler": …`.
+/// A committed number without its host cannot be compared with another.
+std::string HostFactsJson();
+
 }  // namespace plp::bench
 
 #endif  // PLP_BENCH_BENCH_COMMON_H_

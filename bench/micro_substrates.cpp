@@ -322,16 +322,20 @@ void BM_BucketLocalUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_BucketLocalUpdate)->Unit(benchmark::kMillisecond);
 
+// 256 copy-on-write row touches on the local overlay plus the delta
+// extraction, with the overlay and the delta reused across iterations
+// (Reset / ExtractDeltaInto), as the trainer reuses them per worker.
 void BM_LocalOverlayTouch(benchmark::State& state) {
   const sgns::SgnsModel model = BenchModel(5069);
   Rng rng(5);
+  sgns::LocalModel local(model);
+  sgns::SparseDelta delta(model.dim());
   for (auto _ : state) {
-    sgns::LocalModel local(model);
+    local.Reset(model);
     for (int i = 0; i < 256; ++i) {
       local.MutableInRow(
           static_cast<int32_t>(rng.UniformInt(uint64_t{5069})))[0] += 0.1;
     }
-    sgns::SparseDelta delta(model.dim());
     local.ExtractDeltaInto(delta);
     benchmark::DoNotOptimize(delta);
   }

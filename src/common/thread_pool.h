@@ -42,6 +42,9 @@ class ThreadPool {
   size_t num_threads() const { return threads_.size(); }
 
   /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
+  /// Iterations start in increasing index order (the queue is FIFO); the
+  /// training engine's in-order commit window relies on that to be
+  /// deadlock-free.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   /// Index in [0, num_threads) of the calling pool worker, or -1 when the

@@ -49,8 +49,12 @@ enum class StopReason {
 struct TrainPhaseSeconds {
   double accounting = 0.0;         ///< privacy accountant (lines 11–13)
   double sampling_grouping = 0.0;  ///< Poisson sample + bucket grouping
-  double local_sgd = 0.0;          ///< per-bucket local training (lines 7–8)
-  double reduction = 0.0;          ///< Σ bucket deltas into the dense sum
+  /// Per-bucket local training and clipping (lines 7–8, 21), including
+  /// the in-order folds of the deltas into the dense sum.
+  double local_sgd = 0.0;
+  /// The step's loss/clip diagnostics and the sum's norm after the
+  /// fan-out (the Σ itself is folded inside `local_sgd`).
+  double reduction = 0.0;
   double noise = 0.0;              ///< Gaussian noise + averaging (line 9)
   double server_apply = 0.0;       ///< server optimizer (line 10)
 };

@@ -1,7 +1,10 @@
 #include "pipeline/engine.h"
 
 #include <algorithm>
+#include <condition_variable>
+#include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -48,6 +51,77 @@ ckpt::TrainerSnapshot MakeSnapshot(ckpt::TrainerKind kind,
   snapshot.model = model;
   return snapshot;
 }
+
+/// Delta slots per pool worker in the commit window. Two let a worker start
+/// its next bucket while a slower neighbour still holds the window's head.
+constexpr size_t kSlotsPerWorker = 2;
+
+/// The in-order commit window of a step's bucket fan-out. Bucket i writes
+/// its clipped delta into slot i % num_slots, and that delta is folded into
+/// the step's sum as soon as every lower-indexed bucket has been folded. The
+/// sum therefore receives the deltas in bucket order — per coordinate, the
+/// additions of one serial pass over all of them — while at most num_slots
+/// deltas are live.
+///
+/// A bucket may start only once it is inside the window
+/// (i < next_fold + num_slots). The pool hands out buckets in index order,
+/// so the lowest unfolded bucket always holds a slot and the window cannot
+/// deadlock. A worker that finishes out of order parks its slot; the worker
+/// that completes the prefix folds every parked slot that is then ready.
+/// Folds run outside the lock but one at a time (`folding_` is handed over
+/// under `mu_`), so the sum is never written concurrently.
+class CommitWindow {
+ public:
+  CommitWindow(size_t num_slots, int32_t dim) : ready_(num_slots, 0) {
+    slots_.reserve(num_slots);
+    for (size_t i = 0; i < num_slots; ++i) slots_.emplace_back(dim);
+  }
+
+  /// Restarts bucket numbering at 0 for a new step.
+  void Begin() { next_fold_ = 0; }
+
+  /// Blocks until `bucket` is inside the window, then returns its slot.
+  sgns::SparseDelta& Acquire(size_t bucket) {
+    std::unique_lock<std::mutex> lock(mu_);
+    slot_freed_.wait(lock,
+                     [&] { return bucket < next_fold_ + slots_.size(); });
+    return slots_[bucket % slots_.size()];
+  }
+
+  /// Parks `bucket`'s finished delta; unless another worker is folding,
+  /// then folds every ready delta at the head of the window, in order.
+  template <typename Fold>
+  void Commit(size_t bucket, const Fold& fold) {
+    std::unique_lock<std::mutex> lock(mu_);
+    ready_[bucket % slots_.size()] = 1;
+    if (folding_) return;
+    folding_ = true;
+    for (size_t s = next_fold_ % slots_.size(); ready_[s] != 0;
+         s = next_fold_ % slots_.size()) {
+      ready_[s] = 0;
+      lock.unlock();
+      fold(slots_[s]);
+      lock.lock();
+      ++next_fold_;
+      slot_freed_.notify_all();
+    }
+    folding_ = false;
+  }
+
+  /// Buckets folded since Begin().
+  size_t folded() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return next_fold_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable slot_freed_;
+  std::vector<sgns::SparseDelta> slots_;
+  std::vector<uint8_t> ready_;  // per slot: delta done, not yet folded
+  size_t next_fold_ = 0;        // lowest unfolded bucket of the step
+  bool folding_ = false;
+};
 
 }  // namespace
 
@@ -143,16 +217,17 @@ Result<core::TrainResult> TrainingEngine::Train(
 
   // Steady-state buffers reused across steps: one TrainScratch per pool
   // worker (workers index them via ThreadPool::CurrentWorkerIndex(), the
-  // sequential path uses slot 0) and one SparseDelta slot per bucket
-  // (grown lazily; Clear() keeps row-map capacity).
+  // sequential path uses slot 0) and the commit window's delta slots —
+  // kSlotsPerWorker per worker, one on the sequential path (Clear() keeps
+  // row-map capacity).
   const size_t num_workers = pool != nullptr ? pool->num_threads() : 1;
   std::vector<sgns::TrainScratch> scratches;
   scratches.reserve(num_workers);
   for (size_t i = 0; i < num_workers; ++i) {
     scratches.emplace_back(config_.sgns.embedding_dim);
   }
-  std::vector<sgns::SparseDelta> deltas;
-  std::vector<const sgns::SparseDelta*> delta_ptrs;
+  CommitWindow window(pool != nullptr ? kSlotsPerWorker * num_workers : 1,
+                      config_.sgns.embedding_dim);
   std::vector<double> losses;
   std::vector<uint8_t> clip_engaged;
   const bool bucket_parallel = stages_.updater->BucketParallel();
@@ -215,28 +290,36 @@ Result<core::TrainResult> TrainingEngine::Train(
     result.phase_seconds.sampling_grouping += phase.ElapsedSeconds();
 
     if (bucket_parallel) {
-      // Lines 7–8 + 21: one clipped model delta per bucket. Buckets are
+      // Lines 7–8 + 21: one clipped model delta per bucket, folded into the
+      // Σ of the Gaussian sum query through the commit window. Buckets are
       // independent; every bucket's local training runs on an Rng derived
-      // from the step seed and the bucket's content (BucketSeed), so the
-      // result is bitwise-identical for any num_threads — the sequential
-      // path is the same computation without the fan-out. Both seeds are
-      // drawn even when no bucket exists so the streams stay aligned
-      // across runs that sample differently.
+      // from the step seed and the bucket's content (BucketSeed), and the
+      // window folds in bucket order, so the result is bitwise-identical
+      // for any num_threads — the sequential path is the same computation
+      // without the fan-out. Both seeds are drawn even when no bucket
+      // exists so the streams stay aligned across runs that sample
+      // differently.
       phase.Reset();
       update.Zero(pool.get());
       const uint64_t step_seed = rng.NextU64();
       const uint64_t noise_seed = rng.NextU64();
-      while (deltas.size() < buckets.size()) {
-        deltas.emplace_back(config_.sgns.embedding_dim);
-      }
       losses.assign(buckets.size(), 0.0);
       clip_engaged.assign(buckets.size(), 0);
+      // Folds run on workers, so they never get the pool: a nested
+      // ParallelFor would wait on the workers that are running it.
+      const auto fold = [&](const sgns::SparseDelta& delta) {
+        const sgns::SparseDelta* const one = &delta;
+        stages_.aggregator->Reduce({&one, 1}, update, /*pool=*/nullptr);
+      };
+      window.Begin();
       const auto run_bucket = [&](size_t i, sgns::TrainScratch* scratch) {
+        sgns::SparseDelta& delta = window.Acquire(i);
         Rng bucket_rng(core::BucketSeed(step_seed, buckets[i]));
         stages_.updater->ComputeDelta(result.model, buckets[i],
                                       corpus.NumLocations(), bucket_rng,
-                                      &losses[i], scratch, deltas[i]);
-        clip_engaged[i] = stages_.clipper->Clip(deltas[i]) ? 1 : 0;
+                                      &losses[i], scratch, delta);
+        clip_engaged[i] = stages_.clipper->Clip(delta) ? 1 : 0;
+        window.Commit(i, fold);
       };
       if (pool != nullptr && buckets.size() > 1) {
         pool->ParallelFor(buckets.size(), [&](size_t i) {
@@ -249,21 +332,21 @@ Result<core::TrainResult> TrainingEngine::Train(
           run_bucket(i, &scratches[0]);
         }
       }
+      PLP_CHECK_EQ(window.folded(), buckets.size());
       result.phase_seconds.local_sgd += phase.ElapsedSeconds();
 
-      // Sharded deterministic reduction of the bucket deltas (the Σ of the
-      // Gaussian sum query) — bitwise equal to accumulating them serially
-      // in bucket order.
+      // What the fan-out leaves of the reduction: the step's diagnostics,
+      // and the one Reduce call a step without buckets still gets.
       phase.Reset();
-      delta_ptrs.clear();
+      if (buckets.empty()) {
+        stages_.aggregator->Reduce({}, update, /*pool=*/nullptr);
+      }
       double loss_sum = 0.0;
       int64_t clipped = 0;
       for (size_t i = 0; i < buckets.size(); ++i) {
-        delta_ptrs.push_back(&deltas[i]);
         loss_sum += losses[i];
         clipped += clip_engaged[i];
       }
-      stages_.aggregator->Reduce(delta_ptrs, update, pool.get());
       metrics.mean_local_loss =
           buckets.empty() ? 0.0
                           : loss_sum / static_cast<double>(buckets.size());

@@ -137,8 +137,12 @@ class NoisyAggregator {
   /// corpus-derived constants (e.g. the fixed denominator q·N/λ).
   virtual void Prepare(const data::CorpusView& corpus) { (void)corpus; }
 
-  /// Σ deltas into `sum` (already zeroed), in deterministic bucket order
-  /// regardless of `pool` size.
+  /// sum += Σ deltas, in span order. The engine zeroes `sum` once per step
+  /// and then calls this once per bucket, in bucket order, with a span of
+  /// that bucket's clipped delta — from whichever pool worker completed
+  /// the in-order prefix, never two calls at once — and a null `pool`, so
+  /// an override must not fan out. A step without buckets gets one call
+  /// with an empty span.
   virtual void Reduce(std::span<const sgns::SparseDelta* const> deltas,
                       sgns::DenseUpdate& sum, ThreadPool* pool) = 0;
 

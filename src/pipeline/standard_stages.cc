@@ -138,7 +138,8 @@ class GaussianAggregator final : public NoisyAggregator {
 
   void Reduce(std::span<const sgns::SparseDelta* const> deltas,
               sgns::DenseUpdate& sum, ThreadPool* pool) override {
-    sgns::AccumulateDeltas(deltas, 1.0, sum, pool);
+    (void)pool;
+    sgns::AccumulateDeltas(deltas, 1.0, sum);
   }
 
   void NoiseAndAverage(const AggregateContext& ctx,
@@ -418,7 +419,8 @@ class ZeroNoiseAggregator final : public NoisyAggregator {
  public:
   void Reduce(std::span<const sgns::SparseDelta* const> deltas,
               sgns::DenseUpdate& sum, ThreadPool* pool) override {
-    sgns::AccumulateDeltas(deltas, 1.0, sum, pool);
+    (void)pool;
+    sgns::AccumulateDeltas(deltas, 1.0, sum);
   }
   void NoiseAndAverage(const AggregateContext& ctx,
                        sgns::DenseUpdate& sum) override {

@@ -1,12 +1,10 @@
 #include "sgns/sparse_delta.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
 #include "common/math_util.h"
 #include "common/parallel_ops.h"
-#include "common/thread_pool.h"
 
 namespace plp::sgns {
 
@@ -184,28 +182,17 @@ bool SparseDelta::ClipTotal(double max_norm) {
 
 void SparseDelta::AccumulateInto(DenseUpdate& sum, double scale) const {
   PLP_CHECK_EQ(sum.dim(), dim_);
-  for (const Tensor t : {Tensor::kWIn, Tensor::kWOut, Tensor::kBias}) {
-    AccumulateTensorRangeInto(sum, scale, t, 0, sum.num_locations());
-  }
-}
-
-void SparseDelta::AccumulateTensorRangeInto(DenseUpdate& sum, double scale,
-                                            Tensor tensor, int32_t row_begin,
-                                            int32_t row_end) const {
-  PLP_CHECK_EQ(sum.dim(), dim_);
-  std::span<double> dst = sum.TensorData(tensor);
-  if (tensor == Tensor::kBias) {
-    bias_.ForEach([&](int32_t row, std::span<const double> v) {
-      if (row < row_begin || row >= row_end) return;
-      dst[static_cast<size_t>(row)] += scale * v[0];
+  const size_t dim = static_cast<size_t>(dim_);
+  for (const Tensor t : {Tensor::kWIn, Tensor::kWOut}) {
+    double* const dst = sum.TensorData(t).data();
+    StoreFor(t).ForEach([&](int32_t row, std::span<const double> vec) {
+      AxpyKernel(scale, vec.data(), dst + static_cast<size_t>(row) * dim,
+                 dim);
     });
-    return;
   }
-  StoreFor(tensor).ForEach([&](int32_t row, std::span<const double> vec) {
-    if (row < row_begin || row >= row_end) return;
-    AxpyKernel(scale, vec.data(),
-               dst.data() + static_cast<size_t>(row) * dim_,
-               static_cast<size_t>(dim_));
+  std::span<double> bias_dst = sum.TensorData(Tensor::kBias);
+  bias_.ForEach([&](int32_t row, std::span<const double> v) {
+    bias_dst[static_cast<size_t>(row)] += scale * v[0];
   });
 }
 
@@ -224,51 +211,10 @@ void SparseDelta::ApplyTo(SgnsModel& model, double scale) const {
 }
 
 void AccumulateDeltas(std::span<const SparseDelta* const> deltas,
-                      double scale, DenseUpdate& sum, ThreadPool* pool) {
-  const int32_t num_rows = sum.num_locations();
-  size_t live = 0;
+                      double scale, DenseUpdate& sum) {
   for (const SparseDelta* d : deltas) {
-    if (d != nullptr) ++live;
+    if (d != nullptr) d->AccumulateInto(sum, scale);
   }
-  if (live == 0) return;
-  if (pool == nullptr || live == 1 || num_rows < 2) {
-    for (const SparseDelta* d : deltas) {
-      if (d != nullptr) d->AccumulateInto(sum, scale);
-    }
-    return;
-  }
-  // (tensor, row-range) shards write disjoint regions of `sum`. Each shard
-  // scans every delta in index order, so per-coordinate addition order is
-  // identical to the serial loop above. Oversubscribe the pool a little so
-  // shards that hit dense row ranges don't straggle.
-  const int32_t target_shards = static_cast<int32_t>(
-      std::min<size_t>(static_cast<size_t>(num_rows),
-                       2 * std::max<size_t>(1, pool->num_threads())));
-  const int32_t rows_per_shard =
-      (num_rows + target_shards - 1) / target_shards;
-  struct Shard {
-    Tensor tensor;
-    int32_t begin;
-    int32_t end;
-  };
-  std::vector<Shard> shards;
-  shards.reserve(static_cast<size_t>(2 * target_shards) + 1);
-  for (const Tensor t : {Tensor::kWIn, Tensor::kWOut}) {
-    for (int32_t begin = 0; begin < num_rows; begin += rows_per_shard) {
-      shards.push_back(
-          Shard{t, begin, std::min(num_rows, begin + rows_per_shard)});
-    }
-  }
-  // The bias tensor is dim-1 — a single cheap shard.
-  shards.push_back(Shard{Tensor::kBias, 0, num_rows});
-  pool->ParallelFor(shards.size(), [&](size_t s) {
-    const Shard& shard = shards[s];
-    for (const SparseDelta* d : deltas) {
-      if (d == nullptr) continue;
-      d->AccumulateTensorRangeInto(sum, scale, shard.tensor, shard.begin,
-                                   shard.end);
-    }
-  });
 }
 
 SparseDelta DiffModels(const SgnsModel& phi, const SgnsModel& theta) {

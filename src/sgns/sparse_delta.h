@@ -81,18 +81,13 @@ class DenseUpdate {
 class SparseDelta;
 SparseDelta DiffModels(const SgnsModel& phi, const SgnsModel& theta);
 
-/// sum += scale · Σ_i deltas[i] — the Σ of the Gaussian sum query, as a
-/// sharded, deterministically-ordered parallel reduction. The dense
-/// parameter space is split into (tensor, row-range) shards that write
-/// disjoint regions of `sum`; within every shard the deltas are scanned in
-/// index order, so each coordinate receives exactly the FP additions — in
-/// exactly the order — of the serial
-/// `for (d : deltas) d->AccumulateInto(sum, scale)` loop. The result is
-/// therefore bitwise identical for any pool size, including none. Null
-/// entries in `deltas` are skipped.
+/// sum += scale · Σ_i deltas[i] — the Σ of the Gaussian sum query: the
+/// serial loop `for (d : deltas) d->AccumulateInto(sum, scale)`, skipping
+/// null entries. Addition is per coordinate in index order, so folding a
+/// list in consecutive pieces (the engine folds one bucket at a time, in
+/// bucket order) gives exactly the bits of one call over the whole list.
 void AccumulateDeltas(std::span<const SparseDelta* const> deltas,
-                      double scale, DenseUpdate& sum,
-                      ThreadPool* pool = nullptr);
+                      double scale, DenseUpdate& sum);
 
 /// A sparse parameter delta: only the embedding/context rows and bias
 /// entries actually touched by a bucket's local training are materialized.
@@ -154,14 +149,6 @@ class SparseDelta {
 
   /// sum += scale · delta (the Σ of the Gaussian sum query).
   void AccumulateInto(DenseUpdate& sum, double scale) const;
-
-  /// sum += scale · (the touched rows of `tensor` with row in
-  /// [row_begin, row_end)). Row-range shard of AccumulateInto, used by the
-  /// parallel reduction; accumulation per coordinate is the identical
-  /// `out[d] += scale * vec[d]`.
-  void AccumulateTensorRangeInto(DenseUpdate& sum, double scale,
-                                 Tensor tensor, int32_t row_begin,
-                                 int32_t row_end) const;
 
   /// model += scale · delta (used by the non-private trainer).
   void ApplyTo(SgnsModel& model, double scale) const;

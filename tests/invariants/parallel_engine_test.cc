@@ -5,10 +5,13 @@
 //     bits whether run serially or on pools of 1, 2, or 8 threads — the
 //     dense-phase counterpart of the BucketSeed guarantee for local
 //     training.
-//   * AccumulateDeltas (the sharded parallel reduction of bucket deltas)
-//     is bitwise equal to the serial accumulate loop for any pool size,
-//     with overlapping and disjoint row sets, non-unit scale, and null
-//     entries.
+//   * AccumulateDeltas (the Σ of bucket deltas) is bitwise equal to the
+//     serial accumulate loop, and folding the list one delta at a time —
+//     how the engine's commit window calls it — gives the same bits as one
+//     call over the whole list, with overlapping and disjoint row sets,
+//     non-unit scale, and null entries. The engine-level counterpart, with
+//     buckets finishing out of order on 1–8 threads, is
+//     tests/pipeline/commit_window_test.cc.
 //
 // Everything here compares the same code against itself across schedules,
 // so the assertions are exact (EXPECT_EQ on doubles), not tolerances.
@@ -171,18 +174,16 @@ TEST(ParallelReductionTest, AccumulateDeltasBitwiseEqualsSerialLoop) {
   for (const auto& d : deltas) d.AccumulateInto(serial, kScale);
   const std::vector<double> serial_coords = Coordinates(serial);
 
-  // Null pool must match too (it *is* the serial loop).
-  sgns::DenseUpdate no_pool(model);
-  sgns::AccumulateDeltas(ptrs, kScale, no_pool, /*pool=*/nullptr);
-  ExpectBitwiseEqual(serial_coords, Coordinates(no_pool), "null pool");
+  sgns::DenseUpdate whole(model);
+  sgns::AccumulateDeltas(ptrs, kScale, whole);
+  ExpectBitwiseEqual(serial_coords, Coordinates(whole), "one call");
 
-  for (size_t threads : kPoolSizes) {
-    ThreadPool pool(threads);
-    sgns::DenseUpdate pooled(model);
-    sgns::AccumulateDeltas(ptrs, kScale, pooled, &pool);
-    ExpectBitwiseEqual(serial_coords, Coordinates(pooled),
-                       "sharded reduction");
+  // One delta per call, in order: the commit window's fold sequence.
+  sgns::DenseUpdate folded(model);
+  for (const sgns::SparseDelta* d : ptrs) {
+    sgns::AccumulateDeltas({&d, 1}, kScale, folded);
   }
+  ExpectBitwiseEqual(serial_coords, Coordinates(folded), "in-order folds");
 }
 
 TEST(ParallelReductionTest, AccumulateDeltasSkipsNullEntries) {
@@ -198,16 +199,15 @@ TEST(ParallelReductionTest, AccumulateDeltasSkipsNullEntries) {
   a.AccumulateInto(expected, 1.0);
   b.AccumulateInto(expected, 1.0);
 
-  ThreadPool pool(4);
   sgns::DenseUpdate actual(model);
-  sgns::AccumulateDeltas(with_nulls, 1.0, actual, &pool);
+  sgns::AccumulateDeltas(with_nulls, 1.0, actual);
   ExpectBitwiseEqual(Coordinates(expected), Coordinates(actual),
                      "null entries");
 
   // All-null input is a no-op.
   sgns::DenseUpdate untouched(model);
   const std::vector<const sgns::SparseDelta*> all_null = {nullptr, nullptr};
-  sgns::AccumulateDeltas(all_null, 1.0, untouched, &pool);
+  sgns::AccumulateDeltas(all_null, 1.0, untouched);
   for (double v : Coordinates(untouched)) ASSERT_EQ(v, 0.0);
 }
 
@@ -216,7 +216,7 @@ TEST(ParallelReductionTest, EmptyDeltaListLeavesSumUntouched) {
   sgns::DenseUpdate sum(model);
   sum.AddGaussianNoise(/*noise_seed=*/5, 1.0);
   const std::vector<double> before = Coordinates(sum);
-  sgns::AccumulateDeltas({}, 1.0, sum, /*pool=*/nullptr);
+  sgns::AccumulateDeltas({}, 1.0, sum);
   ExpectBitwiseEqual(before, Coordinates(sum), "empty list");
 }
 
