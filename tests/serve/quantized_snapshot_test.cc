@@ -1,6 +1,9 @@
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -265,6 +268,82 @@ TEST(QuantizedSnapshotTest, ReplicateIsDeepCopy) {
     original->DequantizeRow(l, row_a);
     replica->DequantizeRow(l, row_b);
     EXPECT_EQ(row_a, row_b);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Serving-bit pins: for one fixed-seed model and history, the checksum and
+// the exact and IVF top-k answers (ids and score bit patterns) of f32 and
+// fp16 snapshots, with and without the index. Any change to the build, the
+// payload hash, the profile or the scan that moves a served bit fails here.
+
+std::string Hex64(uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+std::string ScoreBits(const std::vector<ScoredLocation>& top) {
+  std::string out;
+  for (const ScoredLocation& s : top) {
+    uint32_t bits = 0;
+    std::memcpy(&bits, &s.score, sizeof(bits));
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%d:%08x ", s.location, bits);
+    out += buf;
+  }
+  return out;
+}
+
+struct ServingPin {
+  SnapshotFormat format;
+  bool ivf;
+  const char* checksum;
+  const char* top_k;
+  const char* approx_top_k;
+};
+
+TEST(QuantizedSnapshotTest, ServingBitsPinned) {
+  const sgns::SgnsModel model = MakeModel(31, 300, 24);
+  const std::vector<int32_t> history = {4, 88, 150, 271};
+  const std::vector<int32_t> exclude = {150};
+  // The index never enters the checksum or the exact scan; without one,
+  // ApproxTopKScores is the exact scan.
+  const char* f32_exact =
+      "33:3f04ae45 14:3f02c8d0 88:3efa81cc 81:3ef5b6df 171:3ef4640a "
+      "199:3eed9106 271:3eea3670 187:3ed3ecf0 269:3ed2fa2c 32:3ed08f92 ";
+  const char* fp16_exact =
+      "33:3f04a8c1 14:3f02cbfc 88:3efa7824 81:3ef5af8a 171:3ef4617a "
+      "199:3eed9508 271:3eea3069 187:3ed3e560 269:3ed2edac 32:3ed09695 ";
+  const ServingPin pins[] = {
+      {SnapshotFormat::kFloat32, false, "8aa24f715420d364", f32_exact,
+       f32_exact},
+      {SnapshotFormat::kFloat32, true, "8aa24f715420d364", f32_exact,
+       "33:3f04ae45 14:3f02c8d0 88:3efa81cc 81:3ef5b6df 171:3ef4640a "
+       "199:3eed9106 4:3ed0017e 292:3eccb8fc 168:3ebe76ba 255:3eb84748 "},
+      {SnapshotFormat::kFloat16, false, "b70575597b58ccca", fp16_exact,
+       fp16_exact},
+      {SnapshotFormat::kFloat16, true, "b70575597b58ccca", fp16_exact,
+       "33:3f04a8c1 14:3f02cbfc 88:3efa7824 81:3ef5af8a 171:3ef4617a "
+       "199:3eed9508 4:3ed00dec 292:3eccbd4e 168:3ebe85ae 255:3eb8558f "},
+  };
+  for (const ServingPin& pin : pins) {
+    SCOPED_TRACE(std::string(FormatName(pin.format)) +
+                 (pin.ivf ? "+ivf" : ""));
+    SnapshotOptions options;
+    options.format = pin.format;
+    options.build_ivf = pin.ivf;
+    auto snapshot_or = ModelSnapshot::FromModel(model, 1, options);
+    ASSERT_TRUE(snapshot_or.ok());
+    const ModelSnapshot& snapshot = **snapshot_or;
+    const std::vector<float> profile = snapshot.Profile(history);
+    EXPECT_EQ(Hex64(snapshot.checksum()), pin.checksum);
+    EXPECT_EQ(ScoreBits(TopKScores(snapshot, profile, 10, exclude)),
+              pin.top_k);
+    EXPECT_EQ(ScoreBits(ApproxTopKScores(snapshot, profile, 10,
+                                         /*nprobe=*/0, exclude)),
+              pin.approx_top_k);
   }
 }
 
