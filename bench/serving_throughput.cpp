@@ -7,7 +7,7 @@
 //                      [--duration_s=4] [--overload_s=1.5]
 //                      [--rate=0] [--overload_factor=3]
 //                      [--swap_interval_ms=750] [--timeout_ms=50]
-//                      [--seed=42] [--json=BENCH_serving.json]
+//                      [--seed=42] [--reps=5] [--json=BENCH_serving.json]
 //                      [--min_qps=0] [--min_speedup=0]
 //
 // Two measurements over a synthetic fixture vocabulary:
@@ -31,10 +31,13 @@
 //      steady rate to exercise admission control. Reports achieved
 //      throughput, p50/p99/p999, and shed rate per segment.
 //
-// Results print as a table and are written as JSON (--json) so CI can
-// archive BENCH_serving.json and trend the numbers across commits. A
-// positive --min_qps (optimized capacity floor) or --min_speedup turns
-// the run into a CI gate.
+// Both measurements run --reps times on the same engines. Results print
+// as a table of the median and min/max of every figure over the
+// repetitions and are written as JSON (--json), with the host facts (core
+// count, CPU, build type, compiler), so CI can archive BENCH_serving.json
+// and trend the numbers across commits. A positive --min_qps (optimized
+// capacity floor) or --min_speedup turns the run into a CI gate on the
+// medians.
 
 #include <algorithm>
 #include <atomic>
@@ -43,12 +46,15 @@
 #include <cstdint>
 #include <deque>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <iostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "common/check.h"
 #include "common/flags.h"
 #include "common/rng.h"
@@ -80,6 +86,17 @@ struct OpenLoopResult {
   int64_t p50_us = 0;
   int64_t p99_us = 0;
   int64_t p999_us = 0;
+};
+
+/// Every figure one repetition measures.
+struct RepResult {
+  double qps_baseline = 0.0;   ///< 1 shard, exact f32 scan
+  double qps_optimized = 0.0;  ///< --shards, --format, --ivf
+  double speedup = 0.0;        ///< qps_optimized / qps_baseline
+  OpenLoopResult steady;
+  OpenLoopResult overload;
+  uint64_t swaps = 0;  ///< hot swaps published during the open loop
+  double swap_stall_us_max = 0.0;
 };
 
 /// Clustered unit-norm vocabulary: rows scatter (per-dim noise `spread`)
@@ -317,15 +334,18 @@ int main(int argc, char** argv) {
   const std::string json_path = flags.GetString("json", "BENCH_serving.json");
   const double min_qps = flags.GetDouble("min_qps", 0.0);
   const double min_speedup = flags.GetDouble("min_speedup", 0.0);
+  const int64_t reps = flags.GetInt("reps", 5);
+  PLP_CHECK_GE(reps, 1);
 
   auto format_or = plp::serve::ParseSnapshotFormat(format_name);
   PLP_CHECK_OK(format_or.status());
 
   std::printf(
-      "serving_throughput: L=%d dim=%d users=%lld k=%d | optimized: "
-      "shards=%d format=%s ivf=%d nprobe=%d\n",
+      "serving_throughput: L=%d dim=%d users=%lld k=%d reps=%lld | "
+      "optimized: shards=%d format=%s ivf=%d nprobe=%d\n",
       traffic.locations, dim, static_cast<long long>(traffic.users),
-      traffic.k, shards, format_name.c_str(), build_ivf ? 1 : 0, nprobe);
+      traffic.k, static_cast<long long>(reps), shards, format_name.c_str(),
+      build_ivf ? 1 : 0, nprobe);
 
   const plp::sgns::DeployedEmbeddings fixture_a =
       MakeFixture(traffic.locations, dim, groups, spread, seed);
@@ -333,24 +353,16 @@ int main(int argc, char** argv) {
       MakeFixture(traffic.locations, dim, groups, spread, seed + 1);
 
   // Baseline: one shard, exact float32 scan — the reference tier.
-  double qps_baseline = 0.0;
-  {
-    plp::serve::ShardedConfig config;
-    config.num_shards = 1;
-    config.shard.num_threads = 1;
-    config.shard.sessions.capacity = static_cast<size_t>(traffic.users) + 16;
-    plp::serve::ShardedServingEngine engine(config);
-    auto baseline_snapshot = plp::serve::ModelSnapshot::FromDeployed(
-        fixture_a, 1, plp::serve::SnapshotOptions{});
-    PLP_CHECK_OK(baseline_snapshot.status());
-    PLP_CHECK_OK(engine.PublishSnapshot(std::move(baseline_snapshot).value()));
-    plp::Rng rng(seed);
-    WarmSessions(engine, rng, traffic);
-    qps_baseline =
-        MeasureCapacity(engine, traffic, capacity_requests, seed + 3);
-    std::printf("capacity baseline (1 shard, f32 exact) : %.0f qps\n",
-                qps_baseline);
-  }
+  plp::serve::ShardedConfig baseline_config;
+  baseline_config.num_shards = 1;
+  baseline_config.shard.num_threads = 1;
+  baseline_config.shard.sessions.capacity =
+      static_cast<size_t>(traffic.users) + 16;
+  plp::serve::ShardedServingEngine baseline(baseline_config);
+  auto baseline_snapshot = plp::serve::ModelSnapshot::FromDeployed(
+      fixture_a, 1, plp::serve::SnapshotOptions{});
+  PLP_CHECK_OK(baseline_snapshot.status());
+  PLP_CHECK_OK(baseline.PublishSnapshot(std::move(baseline_snapshot).value()));
 
   // Optimized tier: sharded + quantized + IVF-pruned.
   plp::serve::ShardedConfig config;
@@ -366,21 +378,7 @@ int main(int argc, char** argv) {
   PLP_CHECK_OK(optimized_snapshot.status());
   PLP_CHECK_OK(engine.PublishSnapshot(std::move(optimized_snapshot).value()));
 
-  double qps_optimized = 0.0;
-  {
-    plp::Rng rng(seed);
-    WarmSessions(engine, rng, traffic);
-    qps_optimized =
-        MeasureCapacity(engine, traffic, capacity_requests, seed + 5);
-    std::printf("capacity optimized (%d shards, %s%s)   : %.0f qps\n",
-                shards, format_name.c_str(), build_ivf ? "+ivf" : "",
-                qps_optimized);
-  }
-  const double speedup =
-      qps_baseline > 0.0 ? qps_optimized / qps_baseline : 0.0;
-  std::printf("speedup over baseline: %.2fx\n", speedup);
-
-  // Prebuild the swap target once — the publisher thread then measures
+  // Prebuild the swap targets once — the publisher thread then measures
   // replicate+swap cost, not snapshot construction.
   auto snapshot_b_or = plp::serve::ModelSnapshot::FromDeployed(
       fixture_b, 2, config.shard.snapshot);
@@ -389,74 +387,127 @@ int main(int argc, char** argv) {
       fixture_a, 3, config.shard.snapshot);
   PLP_CHECK_OK(snapshot_a_or.status());
 
-  // Open loop with mixed traffic: queries at a fixed rate + periodic hot
-  // swaps, then an overload segment at overload_factor× the steady rate.
-  const double steady_rate =
-      rate_flag > 0.0 ? rate_flag : steady_frac * qps_optimized;
-  std::atomic<bool> stop_swaps{false};
-  double swap_stall_us_max = 0.0;
-  uint64_t swaps_published = 0;
-  std::thread publisher([&] {
-    uint64_t version = 4;
-    bool use_b = true;
-    while (!stop_swaps.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(swap_interval_ms));
-      if (stop_swaps.load(std::memory_order_acquire)) break;
-      const auto& snapshot = use_b ? snapshot_b_or.value()
-                                   : snapshot_a_or.value();
-      use_b = !use_b;
-      (void)version++;
-      plp::Stopwatch swap_watch;
-      PLP_CHECK_OK(engine.PublishSnapshot(snapshot));
-      swap_stall_us_max =
-          std::max(swap_stall_us_max, swap_watch.ElapsedMillis() * 1e3);
-      ++swaps_published;
-    }
-  });
+  {
+    plp::Rng rng(seed);
+    WarmSessions(baseline, rng, traffic);
+  }
+  {
+    plp::Rng rng(seed);
+    WarmSessions(engine, rng, traffic);
+  }
 
-  const OpenLoopResult steady =
-      RunOpenLoop(engine, traffic, steady_rate, duration_s,
-                  timeout_ms * 1000, seed + 7);
-  const OpenLoopResult overload =
-      RunOpenLoop(engine, traffic, steady_rate * overload_factor,
-                  overload_s, timeout_ms * 1000, seed + 11);
-  stop_swaps.store(true, std::memory_order_release);
-  publisher.join();
+  // Each repetition measures both capacities back to back, then runs the
+  // open loop at its own rep's steady rate, so slow drift on a shared host
+  // hits every figure of a rep alike.
+  std::vector<RepResult> runs;
+  for (int64_t rep = 0; rep < reps; ++rep) {
+    RepResult run;
+    run.qps_baseline =
+        MeasureCapacity(baseline, traffic, capacity_requests, seed + 3);
+    run.qps_optimized =
+        MeasureCapacity(engine, traffic, capacity_requests, seed + 5);
+    run.speedup = run.qps_optimized / run.qps_baseline;
 
-  auto print_segment = [](const char* name, const OpenLoopResult& r) {
+    // Open loop with mixed traffic: queries at a fixed rate + periodic
+    // hot swaps, then an overload segment at overload_factor× the steady
+    // rate.
+    const double steady_rate =
+        rate_flag > 0.0 ? rate_flag : steady_frac * run.qps_optimized;
+    std::atomic<bool> stop_swaps{false};
+    std::thread publisher([&] {
+      bool use_b = true;
+      while (!stop_swaps.load(std::memory_order_acquire)) {
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(swap_interval_ms));
+        if (stop_swaps.load(std::memory_order_acquire)) break;
+        const auto& snapshot = use_b ? snapshot_b_or.value()
+                                     : snapshot_a_or.value();
+        use_b = !use_b;
+        plp::Stopwatch swap_watch;
+        PLP_CHECK_OK(engine.PublishSnapshot(snapshot));
+        run.swap_stall_us_max =
+            std::max(run.swap_stall_us_max, swap_watch.ElapsedMillis() * 1e3);
+        ++run.swaps;
+      }
+    });
+    run.steady = RunOpenLoop(engine, traffic, steady_rate, duration_s,
+                             timeout_ms * 1000, seed + 7);
+    run.overload =
+        RunOpenLoop(engine, traffic, steady_rate * overload_factor,
+                    overload_s, timeout_ms * 1000, seed + 11);
+    stop_swaps.store(true, std::memory_order_release);
+    publisher.join();
+
     std::printf(
-        "%s: offered %.0f qps, achieved %.0f qps, p50=%lld us, "
-        "p99=%lld us, p999=%lld us, shed %.2f%%\n",
-        name, r.offered_qps, r.achieved_qps,
-        static_cast<long long>(r.p50_us), static_cast<long long>(r.p99_us),
-        static_cast<long long>(r.p999_us), 100.0 * r.shed_rate);
-  };
-  print_segment("open-loop steady  ", steady);
-  print_segment("open-loop overload", overload);
-  std::printf("hot swaps during open loop: %llu (worst publish %.0f us)\n",
-              static_cast<unsigned long long>(swaps_published),
-              swap_stall_us_max);
+        "rep %lld/%lld: capacity baseline (1 shard, f32 exact) %.0f qps, "
+        "optimized (%d shards, %s%s) %.0f qps, speedup %.2fx\n",
+        static_cast<long long>(rep + 1), static_cast<long long>(reps),
+        run.qps_baseline, shards, format_name.c_str(),
+        build_ivf ? "+ivf" : "", run.qps_optimized, run.speedup);
+    std::printf(
+        "  open loop: steady %.0f/%.0f qps p50=%lld p99=%lld p999=%lld us "
+        "shed %.2f%% | overload %.0f/%.0f qps shed %.2f%% | %llu swaps, "
+        "worst publish %.0f us\n",
+        run.steady.achieved_qps, run.steady.offered_qps,
+        static_cast<long long>(run.steady.p50_us),
+        static_cast<long long>(run.steady.p99_us),
+        static_cast<long long>(run.steady.p999_us),
+        100.0 * run.steady.shed_rate, run.overload.achieved_qps,
+        run.overload.offered_qps, 100.0 * run.overload.shed_rate,
+        static_cast<unsigned long long>(run.swaps), run.swap_stall_us_max);
+    runs.push_back(run);
+  }
 
-  plp::TablePrinter table({"segment", "offered_qps", "achieved_qps",
-                           "p50_us", "p99_us", "p999_us", "shed_pct"});
-  auto add = [&table](const std::string& name, const OpenLoopResult& r) {
+  using Field = std::function<double(const RepResult&)>;
+  const std::vector<std::pair<std::string, Field>> fields = {
+      {"qps_baseline_capacity",
+       [](const RepResult& r) { return r.qps_baseline; }},
+      {"qps_optimized_capacity",
+       [](const RepResult& r) { return r.qps_optimized; }},
+      {"speedup", [](const RepResult& r) { return r.speedup; }},
+      {"open_loop_offered_qps",
+       [](const RepResult& r) { return r.steady.offered_qps; }},
+      {"open_loop_achieved_qps",
+       [](const RepResult& r) { return r.steady.achieved_qps; }},
+      {"open_loop_p50_us",
+       [](const RepResult& r) { return static_cast<double>(r.steady.p50_us); }},
+      {"open_loop_p99_us",
+       [](const RepResult& r) { return static_cast<double>(r.steady.p99_us); }},
+      {"open_loop_p999_us",
+       [](const RepResult& r) {
+         return static_cast<double>(r.steady.p999_us);
+       }},
+      {"open_loop_shed_rate",
+       [](const RepResult& r) { return r.steady.shed_rate; }},
+      {"overload_offered_qps",
+       [](const RepResult& r) { return r.overload.offered_qps; }},
+      {"overload_achieved_qps",
+       [](const RepResult& r) { return r.overload.achieved_qps; }},
+      {"overload_shed_rate",
+       [](const RepResult& r) { return r.overload.shed_rate; }},
+      {"swaps_during_open_loop",
+       [](const RepResult& r) { return static_cast<double>(r.swaps); }},
+      {"swap_stall_us_max",
+       [](const RepResult& r) { return r.swap_stall_us_max; }},
+  };
+  std::vector<plp::bench::Spread> spreads;
+  plp::TablePrinter table({"metric", "median", "min", "max"});
+  for (const auto& [name, field] : fields) {
+    std::vector<double> values;
+    for (const RepResult& run : runs) values.push_back(field(run));
+    spreads.push_back(plp::bench::Summarize(std::move(values)));
     table.NewRow();
     table.AddCell(name);
-    table.AddCell(r.offered_qps, 0);
-    table.AddCell(r.achieved_qps, 0);
-    table.AddCell(r.p50_us);
-    table.AddCell(r.p99_us);
-    table.AddCell(r.p999_us);
-    table.AddCell(100.0 * r.shed_rate, 2);
-  };
-  add("steady", steady);
-  add("overload", overload);
+    table.AddCell(spreads.back().median, 2);
+    table.AddCell(spreads.back().min, 2);
+    table.AddCell(spreads.back().max, 2);
+  }
   table.PrintAligned(std::cout);
 
   std::ofstream json(json_path);
   json << "{\n"
        << "  \"bench\": \"serving_throughput\",\n"
+       << "  \"host\": {" << plp::bench::HostFactsJson() << "},\n"
        << "  \"locations\": " << traffic.locations << ",\n"
        << "  \"dim\": " << dim << ",\n"
        << "  \"users\": " << traffic.users << ",\n"
@@ -465,35 +516,33 @@ int main(int argc, char** argv) {
        << "  \"format\": \"" << format_name << "\",\n"
        << "  \"ivf\": " << (build_ivf ? "true" : "false") << ",\n"
        << "  \"nprobe\": " << nprobe << ",\n"
-       << "  \"qps_baseline_capacity\": " << qps_baseline << ",\n"
-       << "  \"qps_optimized_capacity\": " << qps_optimized << ",\n"
-       << "  \"speedup\": " << speedup << ",\n"
-       << "  \"open_loop_offered_qps\": " << steady.offered_qps << ",\n"
-       << "  \"open_loop_achieved_qps\": " << steady.achieved_qps << ",\n"
-       << "  \"open_loop_p50_us\": " << steady.p50_us << ",\n"
-       << "  \"open_loop_p99_us\": " << steady.p99_us << ",\n"
-       << "  \"open_loop_p999_us\": " << steady.p999_us << ",\n"
-       << "  \"open_loop_shed_rate\": " << steady.shed_rate << ",\n"
-       << "  \"overload_offered_qps\": " << overload.offered_qps << ",\n"
-       << "  \"overload_achieved_qps\": " << overload.achieved_qps << ",\n"
-       << "  \"overload_shed_rate\": " << overload.shed_rate << ",\n"
-       << "  \"swaps_during_open_loop\": " << swaps_published << ",\n"
-       << "  \"swap_stall_us_max\": " << swap_stall_us_max << "\n"
-       << "}\n";
+       << "  \"reps\": " << reps;
+  for (size_t i = 0; i < fields.size(); ++i) {
+    json << ",\n  \"" << fields[i].first
+         << "\": " << plp::bench::SpreadJson(spreads[i]);
+  }
+  json << "\n}\n";
   if (!json) {
     std::cerr << "error: cannot write " << json_path << "\n";
     return 1;
   }
   std::printf("wrote %s\n", json_path.c_str());
 
+  auto median_of = [&](const std::string& name) {
+    size_t i = 0;
+    while (fields[i].first != name) ++i;
+    return spreads[i].median;
+  };
+  const double qps_optimized = median_of("qps_optimized_capacity");
+  const double speedup = median_of("speedup");
   if (min_qps > 0.0 && qps_optimized < min_qps) {
-    std::cerr << "FAIL: optimized capacity " << qps_optimized
+    std::cerr << "FAIL: median optimized capacity " << qps_optimized
               << " qps below --min_qps=" << min_qps << "\n";
     return 1;
   }
   if (min_speedup > 0.0 && speedup < min_speedup) {
-    std::cerr << "FAIL: speedup " << speedup << "x below --min_speedup="
-              << min_speedup << "\n";
+    std::cerr << "FAIL: median speedup " << speedup
+              << "x below --min_speedup=" << min_speedup << "\n";
     return 1;
   }
   return 0;
