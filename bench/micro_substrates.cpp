@@ -109,9 +109,9 @@ void BM_DotKernelPortable(benchmark::State& state) {
 }
 BENCHMARK(BM_DotKernelPortable)->Arg(50)->Arg(512);
 
-// Quantized serving-scan kernels: one fp16/int8 snapshot row against a
-// float32 profile. Dispatched (F16C/AVX2 when present) vs portable, same
-// lengths as the float kernels so the per-element costs line up.
+// Quantized serving-scan kernel: one fp16 snapshot row against a float32
+// profile. Dispatched (F16C/AVX2 when present) vs portable, same lengths
+// as the float kernels so the per-element costs line up.
 void BM_DotF16Kernel(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Rng rng(14);
@@ -151,46 +151,6 @@ void BM_DotF16KernelPortable(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 BENCHMARK(BM_DotF16KernelPortable)->Arg(50)->Arg(512);
-
-void BM_DotI8Kernel(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(14);
-  std::vector<int8_t> a(n);
-  std::vector<float> b(n);
-  for (size_t i = 0; i < n; ++i) {
-    a[i] = static_cast<int8_t>(rng.UniformInt(-127, 127));
-    b[i] = static_cast<float>(rng.Uniform(-1.0, 1.0));
-  }
-  // DoNotOptimize inside the loop: these kernels are inline header
-  // functions, and a sink consumed only after the loop lets the compiler
-  // hoist the whole call out of it (measured: a bogus ~2 ns flatline).
-  for (auto _ : state) {
-    float sink = DotI8Kernel(a.data(), b.data(), n);
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_DotI8Kernel)->Arg(50)->Arg(512);
-
-void BM_DotI8KernelPortable(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(14);
-  std::vector<int8_t> a(n);
-  std::vector<float> b(n);
-  for (size_t i = 0; i < n; ++i) {
-    a[i] = static_cast<int8_t>(rng.UniformInt(-127, 127));
-    b[i] = static_cast<float>(rng.Uniform(-1.0, 1.0));
-  }
-  // DoNotOptimize inside the loop: these kernels are inline header
-  // functions, and a sink consumed only after the loop lets the compiler
-  // hoist the whole call out of it (measured: a bogus ~2 ns flatline).
-  for (auto _ : state) {
-    float sink = DotI8KernelPortable(a.data(), b.data(), n);
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_DotI8KernelPortable)->Arg(50)->Arg(512);
 
 void BM_AxpyKernel(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -2,7 +2,7 @@
 //
 //   serving_throughput [--locations=20000] [--dim=64] [--groups=50]
 //                      [--spread=0.08] [--users=5000]
-//                      [--k=10] [--shards=4] [--format=int8] [--ivf=true]
+//                      [--k=10] [--shards=4] [--format=fp16] [--ivf=true]
 //                      [--nprobe=0] [--capacity_requests=30000]
 //                      [--duration_s=4] [--overload_s=1.5]
 //                      [--rate=0] [--overload_factor=3]
@@ -308,7 +308,7 @@ int main(int argc, char** argv) {
     shards = static_cast<int32_t>(
         std::clamp<unsigned>(cores == 0 ? 1 : cores, 1, 4));
   }
-  const std::string format_name = flags.GetString("format", "int8");
+  const std::string format_name = flags.GetString("format", "fp16");
   const bool build_ivf = flags.GetBool("ivf", true);
   const int32_t nprobe = static_cast<int32_t>(flags.GetInt("nprobe", 0));
   const int64_t capacity_requests = flags.GetInt("capacity_requests", 30000);

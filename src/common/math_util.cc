@@ -302,25 +302,6 @@ __attribute__((target("avx2,f16c"))) float DotF16Avx2(const uint16_t* a,
   return CombineF32Spec(acc0, acc1, tail);
 }
 
-__attribute__((target("avx2"))) float DotI8Avx2(const int8_t* a,
-                                                const float* b, size_t n) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    // Sign-extend 8 bytes to 8 int32 lanes, then convert; both exact.
-    const __m256 a0 = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a + i))));
-    const __m256 a1 = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a + i + 8))));
-    acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(a0, _mm256_loadu_ps(b + i)));
-    acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(a1, _mm256_loadu_ps(b + i + 8)));
-  }
-  float tail = 0.0f;
-  for (; i < n; ++i) tail += static_cast<float>(a[i]) * b[i];
-  return CombineF32Spec(acc0, acc1, tail);
-}
-
 #endif  // PLP_SIMD_X86
 
 }  // namespace
@@ -335,7 +316,6 @@ void (*sub)(const double*, const double*, double*, size_t) =
     &SubKernelPortable<double>;
 float (*dot_f16)(const uint16_t*, const float*, size_t) =
     &DotF16KernelPortable;
-float (*dot_i8)(const int8_t*, const float*, size_t) = &DotI8KernelPortable;
 
 namespace {
 
@@ -355,7 +335,6 @@ const bool simd_init = [] {
     axpy = &AxpyAvx2;
     scale = &ScaleAvx2;
     sub = &SubAvx2;
-    dot_i8 = &DotI8Avx2;
     avx2_active = true;
     if (__builtin_cpu_supports("f16c")) {
       dot_f16 = &DotF16Avx2;

@@ -112,10 +112,9 @@ extern void (*axpy)(double, const double*, double*, size_t);
 extern void (*scale)(double, double*, size_t);
 extern void (*sub)(const double*, const double*, double*, size_t);
 
-/// Quantized-serving kernels (see "Quantized dot kernels" below): mixed
-/// fp16·f32 and int8·f32 dots, dispatched like the double kernels.
+/// Quantized-serving kernel (see "Quantized dot kernel" below): the mixed
+/// fp16·f32 dot, dispatched like the double kernels.
 extern float (*dot_f16)(const uint16_t*, const float*, size_t);
-extern float (*dot_i8)(const int8_t*, const float*, size_t);
 
 /// True when the AVX2 bodies are the active dispatch targets (for tests
 /// and diagnostics).
@@ -203,20 +202,19 @@ inline void SubReference(const T* a, const T* b, T* out, size_t n) {
 }
 
 // ---------------------------------------------------------------------------
-// Quantized dot kernels (serving-side snapshot scoring).
+// Quantized dot kernel (serving-side snapshot scoring).
 //
-// Published snapshots can store their embedding rows as IEEE fp16 or as
-// symmetric per-row-scaled int8 instead of float32; scoring then needs a
-// mixed-precision dot of a quantized row against a float32 profile. The
-// kernels below follow the same discipline as the double kernels above:
-// one fixed 16-lane float32 accumulation spec (identical lane shape and
-// combine order), portable bodies as the dispatch defaults, and AVX2
-// (+F16C for fp16) bodies bound at static initialization that reproduce
-// the portable results bitwise — dequantization (half→float, int8→float)
-// is exact in both paths, multiplies and adds stay separate instructions,
+// Published snapshots can store their embedding rows as IEEE fp16 instead
+// of float32; scoring then needs a mixed-precision dot of a half row
+// against a float32 profile. The kernel below follows the same discipline
+// as the double kernels above: one fixed 16-lane float32 accumulation
+// spec (identical lane shape and combine order), the portable body as the
+// dispatch default, and an AVX2+F16C body bound at static initialization
+// that reproduces the portable result bitwise — half→float conversion is
+// exact in both paths, multiplies and adds stay separate instructions,
 // and the per-lane add order matches term for term. Scores therefore do
-// not depend on which body the dispatcher picked, and the quantization
-// error bounds pinned by tests are machine-independent.
+// not depend on which body the dispatcher picked, and the fp16 error
+// bound pinned by tests is machine-independent.
 // ---------------------------------------------------------------------------
 
 /// float → IEEE 754 binary16 bit pattern, round-to-nearest-even. Handles
@@ -300,35 +298,9 @@ inline float DotF16KernelPortable(const uint16_t* a, const float* b,
   return ((u0 + u1) + (u2 + u3)) + tail;
 }
 
-/// Portable int8·f32 dot under the same spec. int8 → float is exact; the
-/// caller applies the row's dequantization scale to the result (one
-/// multiply per row instead of one per element).
-inline float DotI8KernelPortable(const int8_t* a, const float* b, size_t n) {
-  float s[16] = {};
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    for (size_t j = 0; j < 16; ++j) {
-      s[j] += static_cast<float>(a[i + j]) * b[i + j];
-    }
-  }
-  float tail = 0.0f;
-  for (; i < n; ++i) tail += static_cast<float>(a[i]) * b[i];
-  const float u0 = (s[0] + s[4]) + (s[8] + s[12]);
-  const float u1 = (s[1] + s[5]) + (s[9] + s[13]);
-  const float u2 = (s[2] + s[6]) + (s[10] + s[14]);
-  const float u3 = (s[3] + s[7]) + (s[11] + s[15]);
-  return ((u0 + u1) + (u2 + u3)) + tail;
-}
-
 /// Dispatched fp16·f32 dot (AVX2+F16C where available).
 inline float DotF16Kernel(const uint16_t* a, const float* b, size_t n) {
   return internal_simd::dot_f16(a, b, n);
-}
-
-/// Dispatched int8·f32 dot (AVX2 where available). The result is in
-/// quantized units; multiply by the row scale to recover the score.
-inline float DotI8Kernel(const int8_t* a, const float* b, size_t n) {
-  return internal_simd::dot_i8(a, b, n);
 }
 
 // ---------------------------------------------------------------------------

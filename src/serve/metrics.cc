@@ -84,7 +84,6 @@ void Metrics::MergeFrom(const Metrics& other) {
   acc(protocol_errors, other.protocol_errors);
   acc(requests_f32, other.requests_f32);
   acc(requests_fp16, other.requests_fp16);
-  acc(requests_int8, other.requests_int8);
   const int64_t stamp =
       other.last_swap_steady_micros.load(std::memory_order_relaxed);
   int64_t current = last_swap_steady_micros.load(std::memory_order_relaxed);
@@ -125,7 +124,6 @@ void Metrics::PrintTable(std::ostream& os) const {
   add("protocol_errors", protocol_errors.load(std::memory_order_relaxed));
   add("requests_f32", requests_f32.load(std::memory_order_relaxed));
   add("requests_fp16", requests_fp16.load(std::memory_order_relaxed));
-  add("requests_int8", requests_int8.load(std::memory_order_relaxed));
   add("batches", batches.load(std::memory_order_relaxed));
   add("batched_requests",
       batched_requests.load(std::memory_order_relaxed));

@@ -65,12 +65,11 @@ class Metrics {
   std::atomic<uint64_t> batched_requests{0};  ///< requests inside batches
   std::atomic<uint64_t> model_swaps{0};
   /// Successful recommendations broken out by the snapshot format that
-  /// scored them (f32 / fp16 / int8) — sums to requests_ok. Makes a
-  /// quantization rollout observable: a dashboard can watch traffic move
-  /// between formats across hot swaps.
+  /// scored them (f32 / fp16) — sums to requests_ok. Makes an fp16
+  /// rollout observable: a dashboard can watch traffic move between
+  /// formats across hot swaps.
   std::atomic<uint64_t> requests_f32{0};
   std::atomic<uint64_t> requests_fp16{0};
-  std::atomic<uint64_t> requests_int8{0};
   /// steady_clock microsecond stamp of the latest Publish (0 = never).
   /// swap_age_seconds in the STATS table derives from it, so snapshot
   /// freshness is observable without scraping logs.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <utility>
 
 #include "common/check.h"
@@ -108,8 +107,6 @@ const char* FormatName(SnapshotFormat format) {
       return "f32";
     case SnapshotFormat::kFloat16:
       return "fp16";
-    case SnapshotFormat::kInt8:
-      return "int8";
   }
   return "unknown";
 }
@@ -117,9 +114,8 @@ const char* FormatName(SnapshotFormat format) {
 Result<SnapshotFormat> ParseSnapshotFormat(const std::string& name) {
   if (name == "f32" || name == "float32") return SnapshotFormat::kFloat32;
   if (name == "fp16" || name == "float16") return SnapshotFormat::kFloat16;
-  if (name == "int8") return SnapshotFormat::kInt8;
   return InvalidArgumentError("unknown snapshot format '" + name +
-                              "' (expected f32, fp16, or int8)");
+                              "' (expected f32 or fp16)");
 }
 
 ModelSnapshot::ModelSnapshot(int32_t num_locations, int32_t dim,
@@ -132,7 +128,7 @@ ModelSnapshot::ModelSnapshot(int32_t num_locations, int32_t dim,
 
 void ModelSnapshot::ApplyOptions(const SnapshotOptions& options) {
   // The IVF index clusters the float32 matrix, so build it before the
-  // quantization below can drop that matrix.
+  // fp16 conversion below can drop that matrix.
   if (options.build_ivf) {
     ivf_ = IvfIndex::Build(embeddings_.data(), num_locations_, dim_,
                            options.ivf);
@@ -142,32 +138,9 @@ void ModelSnapshot::ApplyOptions(const SnapshotOptions& options) {
     return;
   }
   format_ = options.format;
-  const size_t count = embeddings_.size();
-  if (format_ == SnapshotFormat::kFloat16) {
-    half_.resize(count);
-    for (size_t i = 0; i < count; ++i) half_[i] = FloatToHalf(embeddings_[i]);
-  } else {
-    quant_.resize(count);
-    row_scale_.resize(static_cast<size_t>(num_locations_));
-    for (int32_t r = 0; r < num_locations_; ++r) {
-      const float* row = embeddings_.data() + static_cast<size_t>(r) * dim_;
-      float amax = 0.0f;
-      for (int32_t d = 0; d < dim_; ++d) {
-        amax = std::max(amax, std::fabs(row[d]));
-      }
-      const float scale = amax > 0.0f ? amax / 127.0f : 0.0f;
-      row_scale_[static_cast<size_t>(r)] = scale;
-      int8_t* q = quant_.data() + static_cast<size_t>(r) * dim_;
-      if (scale == 0.0f) {
-        std::fill_n(q, dim_, int8_t{0});
-        continue;
-      }
-      const float inv = 1.0f / scale;
-      for (int32_t d = 0; d < dim_; ++d) {
-        const long v = std::lroundf(row[d] * inv);
-        q[d] = static_cast<int8_t>(std::clamp<long>(v, -127, 127));
-      }
-    }
+  half_.resize(embeddings_.size());
+  for (size_t i = 0; i < half_.size(); ++i) {
+    half_[i] = FloatToHalf(embeddings_[i]);
   }
   checksum_ = ComputeChecksum();
   embeddings_.clear();
@@ -183,14 +156,7 @@ uint64_t ModelSnapshot::ComputeChecksum() const {
   hash = Fnv1a64(&num_locations_, sizeof(num_locations_), hash);
   hash = Fnv1a64(&dim_, sizeof(dim_), hash);
   hash = Fnv1a64(&format_, sizeof(format_), hash);
-  if (format_ == SnapshotFormat::kFloat16) {
-    hash = Fnv1a64(half_.data(), half_.size() * sizeof(uint16_t), hash);
-  } else {
-    hash = Fnv1a64(quant_.data(), quant_.size() * sizeof(int8_t), hash);
-    hash =
-        Fnv1a64(row_scale_.data(), row_scale_.size() * sizeof(float), hash);
-  }
-  return hash;
+  return Fnv1a64(half_.data(), half_.size() * sizeof(uint16_t), hash);
 }
 
 Status ModelSnapshot::Verify() const {
@@ -202,20 +168,9 @@ Status ModelSnapshot::Verify() const {
   }
   const size_t count =
       static_cast<size_t>(num_locations_) * static_cast<size_t>(dim_);
-  bool shape_ok = false;
-  switch (format_) {
-    case SnapshotFormat::kFloat32:
-      shape_ok = embeddings_.size() == count;
-      break;
-    case SnapshotFormat::kFloat16:
-      shape_ok = half_.size() == count && embeddings_.empty();
-      break;
-    case SnapshotFormat::kInt8:
-      shape_ok = quant_.size() == count &&
-                 row_scale_.size() == static_cast<size_t>(num_locations_) &&
-                 embeddings_.empty();
-      break;
-  }
+  const bool shape_ok = format_ == SnapshotFormat::kFloat32
+                            ? embeddings_.size() == count
+                            : half_.size() == count && embeddings_.empty();
   if (!shape_ok) {
     return InternalError(
         "corrupt snapshot: payload size does not match the " +
@@ -233,34 +188,21 @@ Status ModelSnapshot::Verify() const {
 void ModelSnapshot::BuildPackedPayload() {
   const size_t dim = static_cast<size_t>(dim_);
   const size_t count = static_cast<size_t>(num_locations_) * dim;
-  switch (format_) {
-    case SnapshotFormat::kFloat32:
-      packed_f32_.resize(count);
-      break;
-    case SnapshotFormat::kFloat16:
-      packed_half_.resize(count);
-      break;
-    case SnapshotFormat::kInt8:
-      packed_quant_.resize(count);
-      packed_scale_.resize(static_cast<size_t>(num_locations_));
-      break;
+  const bool f32 = format_ == SnapshotFormat::kFloat32;
+  if (f32) {
+    packed_f32_.resize(count);
+  } else {
+    packed_half_.resize(count);
   }
   size_t pos = 0;
   for (int32_t c = 0; c < ivf_->num_clusters(); ++c) {
     for (const int32_t id : ivf_->ClusterMembers(c)) {
       const size_t src = static_cast<size_t>(id) * dim;
       const size_t dst = pos * dim;
-      switch (format_) {
-        case SnapshotFormat::kFloat32:
-          std::copy_n(embeddings_.data() + src, dim, packed_f32_.data() + dst);
-          break;
-        case SnapshotFormat::kFloat16:
-          std::copy_n(half_.data() + src, dim, packed_half_.data() + dst);
-          break;
-        case SnapshotFormat::kInt8:
-          std::copy_n(quant_.data() + src, dim, packed_quant_.data() + dst);
-          packed_scale_[pos] = row_scale_[static_cast<size_t>(id)];
-          break;
+      if (f32) {
+        std::copy_n(embeddings_.data() + src, dim, packed_f32_.data() + dst);
+      } else {
+        std::copy_n(half_.data() + src, dim, packed_half_.data() + dst);
       }
       ++pos;
     }
@@ -269,76 +211,40 @@ void ModelSnapshot::BuildPackedPayload() {
 }
 
 size_t ModelSnapshot::memory_bytes() const {
-  const size_t packed = packed_f32_.size() * sizeof(float) +
-                        packed_half_.size() * sizeof(uint16_t) +
-                        packed_quant_.size() * sizeof(int8_t) +
-                        packed_scale_.size() * sizeof(float);
-  switch (format_) {
-    case SnapshotFormat::kFloat32:
-      return embeddings_.size() * sizeof(float) + packed;
-    case SnapshotFormat::kFloat16:
-      return half_.size() * sizeof(uint16_t) + packed;
-    case SnapshotFormat::kInt8:
-      return quant_.size() * sizeof(int8_t) +
-             row_scale_.size() * sizeof(float) + packed;
-  }
-  return 0;
+  // Only the vectors of the snapshot's own format are non-empty.
+  return (embeddings_.size() + packed_f32_.size()) * sizeof(float) +
+         (half_.size() + packed_half_.size()) * sizeof(uint16_t);
 }
 
 void ModelSnapshot::DequantizeRow(int32_t location,
                                   std::span<float> out) const {
   PLP_CHECK_EQ(out.size(), static_cast<size_t>(dim_));
   const size_t offset = static_cast<size_t>(location) * dim_;
-  switch (format_) {
-    case SnapshotFormat::kFloat32:
-      std::copy_n(embeddings_.data() + offset, dim_, out.data());
-      return;
-    case SnapshotFormat::kFloat16:
-      for (int32_t d = 0; d < dim_; ++d) {
-        out[static_cast<size_t>(d)] = HalfToFloat(half_[offset + d]);
-      }
-      return;
-    case SnapshotFormat::kInt8: {
-      const float scale = row_scale_[static_cast<size_t>(location)];
-      for (int32_t d = 0; d < dim_; ++d) {
-        out[static_cast<size_t>(d)] =
-            scale * static_cast<float>(quant_[offset + d]);
-      }
-      return;
-    }
+  if (format_ == SnapshotFormat::kFloat32) {
+    std::copy_n(embeddings_.data() + offset, dim_, out.data());
+    return;
+  }
+  for (int32_t d = 0; d < dim_; ++d) {
+    out[static_cast<size_t>(d)] = HalfToFloat(half_[offset + d]);
   }
 }
 
 float ModelSnapshot::ScorePackedRow(int32_t pos, const float* profile) const {
   const size_t offset = static_cast<size_t>(pos) * dim_;
-  switch (format_) {
-    case SnapshotFormat::kFloat32:
-      return Dot(packed_f32_.data() + offset, profile, dim_);
-    case SnapshotFormat::kFloat16:
-      return DotF16Kernel(packed_half_.data() + offset, profile,
-                          static_cast<size_t>(dim_));
-    case SnapshotFormat::kInt8:
-      return packed_scale_[static_cast<size_t>(pos)] *
-             DotI8Kernel(packed_quant_.data() + offset, profile,
-                         static_cast<size_t>(dim_));
+  if (format_ == SnapshotFormat::kFloat32) {
+    return Dot(packed_f32_.data() + offset, profile, dim_);
   }
-  return 0.0f;
+  return DotF16Kernel(packed_half_.data() + offset, profile,
+                      static_cast<size_t>(dim_));
 }
 
 float ModelSnapshot::ScoreRow(int32_t location, const float* profile) const {
   const size_t offset = static_cast<size_t>(location) * dim_;
-  switch (format_) {
-    case SnapshotFormat::kFloat32:
-      return Dot(embeddings_.data() + offset, profile, dim_);
-    case SnapshotFormat::kFloat16:
-      return DotF16Kernel(half_.data() + offset, profile,
-                          static_cast<size_t>(dim_));
-    case SnapshotFormat::kInt8:
-      return row_scale_[static_cast<size_t>(location)] *
-             DotI8Kernel(quant_.data() + offset, profile,
-                         static_cast<size_t>(dim_));
+  if (format_ == SnapshotFormat::kFloat32) {
+    return Dot(embeddings_.data() + offset, profile, dim_);
   }
-  return 0.0f;
+  return DotF16Kernel(half_.data() + offset, profile,
+                      static_cast<size_t>(dim_));
 }
 
 std::shared_ptr<const ModelSnapshot> ModelSnapshot::Replicate() const {

@@ -20,22 +20,20 @@ namespace plp::serve {
 ///   * kFloat32 — the exact reference: row-major float32, unit-norm rows.
 ///   * kFloat16 — IEEE binary16 rows; dequantization is exact per element
 ///     and the absolute score error is ≤ 2^-11·Σ|profile_i| per row.
-///   * kInt8    — symmetric per-row scale: q = round(v/s), s = max|row|/127;
-///     score error is ≤ (s/2)·Σ|profile_i| per row.
 ///
-/// Quantized formats change scores (within the tested bounds) and exist
-/// for footprint and scan speed; float32 stays the default and the
-/// reference the others are tested against.
+/// fp16 changes scores (within the tested bound) and exists for footprint
+/// and scan speed; float32 stays the default and the reference it is
+/// tested against. The values are stable: the checksum hashes the byte.
 enum class SnapshotFormat : uint8_t {
   kFloat32 = 0,
   kFloat16 = 1,
-  kInt8 = 2,
 };
 
-/// Short stable name for logs/metrics ("f32", "fp16", "int8").
+/// Short stable name for logs/metrics ("f32", "fp16").
 const char* FormatName(SnapshotFormat format);
 
-/// Parses "f32" / "fp16" / "int8" (the FormatName spellings).
+/// Parses "f32" / "fp16" (the FormatName spellings) and the long forms
+/// "float32" / "float16".
 Result<SnapshotFormat> ParseSnapshotFormat(const std::string& name);
 
 /// Build-time knobs applied when a model is turned into a snapshot.
@@ -51,7 +49,7 @@ struct SnapshotOptions {
 /// Immutable serving artifact: the unit-normalized embedding matrix in
 /// row-major float32 — half the footprint of the training-side double
 /// matrix, which matters when two snapshots coexist during a hot swap.
-/// Optionally quantized to fp16 or int8 (SnapshotOptions) at build time,
+/// Optionally quantized to fp16 (SnapshotOptions) at build time,
 /// and optionally carrying an IVF candidate-pruning index.
 ///
 /// This mirrors the paper's deployment story (Section 3.3: "only the
@@ -103,8 +101,8 @@ class ModelSnapshot {
   /// FNV-1a 64 over the header and the payload; stable across rebuilds
   /// from identical inputs, so operators can verify that the published
   /// snapshot matches the artifact they trained. Float32 snapshots hash
-  /// exactly what they always did; quantized snapshots additionally fold
-  /// in the format tag and the quantized payload.
+  /// the shape and the float matrix; fp16 snapshots fold in the format
+  /// byte and hash the half payload instead of the float matrix.
   uint64_t checksum() const { return checksum_; }
 
   /// Resident size of the embedding payload (whatever format holds it),
@@ -120,9 +118,8 @@ class ModelSnapshot {
   /// harness force this gate to fail.
   Status Verify() const;
 
-  /// Float32 row view. Only valid on kFloat32 snapshots; quantized
-  /// formats drop the float matrix (that is the point) — use
-  /// DequantizeRow.
+  /// Float32 row view. Only valid on kFloat32 snapshots; fp16 drops the
+  /// float matrix (that is the point) — use DequantizeRow.
   std::span<const float> Row(int32_t location) const {
     return {embeddings_.data() + static_cast<size_t>(location) * dim_,
             static_cast<size_t>(dim_)};
@@ -162,14 +159,14 @@ class ModelSnapshot {
   ModelSnapshot(const ModelSnapshot&) = default;
 
   /// Converts the float32 payload into `options.format` (dropping the
-  /// float matrix for quantized formats) and builds the IVF index if
-  /// asked. Called by the factories right after construction, while the
-  /// float matrix is still present.
+  /// float matrix for fp16) and builds the IVF index if asked. Called by
+  /// the factories right after construction, while the float matrix is
+  /// still present.
   void ApplyOptions(const SnapshotOptions& options);
 
   /// Recomputes the build-time checksum from the resident payload (the
-  /// float matrix on kFloat32, the quantized payload + format tag
-  /// otherwise). Verify compares this against checksum_.
+  /// float matrix on kFloat32, the format byte + half payload on
+  /// kFloat16). Verify compares this against checksum_.
   uint64_t ComputeChecksum() const;
 
   /// Builds the cluster-ordered payload copy for the pruned scan: row at
@@ -188,16 +185,12 @@ class ModelSnapshot {
   SnapshotFormat format_ = SnapshotFormat::kFloat32;
   std::vector<float> embeddings_;    ///< row-major L × dim (kFloat32 only)
   std::vector<uint16_t> half_;       ///< row-major L × dim (kFloat16 only)
-  std::vector<int8_t> quant_;        ///< row-major L × dim (kInt8 only)
-  std::vector<float> row_scale_;     ///< per-row dequant scale (kInt8 only)
   std::optional<IvfIndex> ivf_;
 
   /// Cluster-ordered payload copies (present only when ivf_ is built; one
   /// of them, matching format_). See BuildPackedPayload.
   std::vector<float> packed_f32_;
   std::vector<uint16_t> packed_half_;
-  std::vector<int8_t> packed_quant_;
-  std::vector<float> packed_scale_;  ///< per packed row (kInt8 only)
 };
 
 /// One scored candidate of a TopK answer.

@@ -24,8 +24,8 @@ struct RecallProbe {
 /// Average recall@k of `candidate` against `reference` over the probe's
 /// synthetic queries: for each query the reference answers with its exact
 /// scan and the candidate answers the way the engine would serve it
-/// (IVF-pruned when indexed, exact otherwise, dequantized kernels for
-/// quantized formats); recall is the fraction of reference ids the
+/// (IVF-pruned when indexed, exact otherwise, the fp16 kernel on fp16
+/// snapshots); recall is the fraction of reference ids the
 /// candidate returned. This is the same machinery as the IVF recall gate
 /// in tests/serve/ivf_index_test.cc, factored out so the publish
 /// validation gate measures candidates against the float32 reference

@@ -159,9 +159,6 @@ Response ServingEngine::Execute(
     case SnapshotFormat::kFloat16:
       metrics_.requests_fp16.fetch_add(1, std::memory_order_relaxed);
       break;
-    case SnapshotFormat::kInt8:
-      metrics_.requests_int8.fetch_add(1, std::memory_order_relaxed);
-      break;
   }
   response.status = Status::Ok();
   return response;

@@ -153,7 +153,7 @@ TEST(SnapshotPublisherTest, RetryAfterCurrentSwapFaultResumes) {
 TEST(SnapshotPublisherTest, ImpossibleRecallGateFailsClosed) {
   const std::string dir = FreshDir("recall_gate");
   PublisherConfig config = BaseConfig(dir);
-  config.snapshot.format = serve::SnapshotFormat::kInt8;
+  config.snapshot.format = serve::SnapshotFormat::kFloat16;
   config.snapshot.build_ivf = true;
   config.min_recall = 1.01;  // unattainable by construction
   auto publisher = SnapshotPublisher::Create(config);

@@ -117,8 +117,7 @@ TEST(ModelSnapshotTest, ChecksumIsStableAndContentSensitive) {
 TEST(ModelSnapshotTest, VerifyPassesOnEveryFormat) {
   const sgns::SgnsModel model = MakeModel(41);
   for (SnapshotFormat format :
-       {SnapshotFormat::kFloat32, SnapshotFormat::kFloat16,
-        SnapshotFormat::kInt8}) {
+       {SnapshotFormat::kFloat32, SnapshotFormat::kFloat16}) {
     SnapshotOptions options;
     options.format = format;
     auto snapshot = ModelSnapshot::FromModel(model, 1, options);

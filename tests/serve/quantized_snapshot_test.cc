@@ -96,10 +96,10 @@ TEST(HalfConversionTest, RelativeErrorWithinHalfUlp) {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatched vs portable: the AVX2/F16C bodies implement the same fixed
-// 16-lane reduction spec as the portable loops, and dequantization is exact
-// in both, so results must be bitwise identical on every length (including
-// tails of every residue mod 16).
+// Dispatched vs portable: the AVX2/F16C body implements the same fixed
+// 16-lane reduction spec as the portable loop, and half→float conversion is
+// exact in both, so results must be bitwise identical on every length
+// (including tails of every residue mod 16).
 
 TEST(QuantizedKernelTest, DispatchedF16MatchesPortableBitwise) {
   Rng rng(7);
@@ -116,52 +116,28 @@ TEST(QuantizedKernelTest, DispatchedF16MatchesPortableBitwise) {
   }
 }
 
-TEST(QuantizedKernelTest, DispatchedI8MatchesPortableBitwise) {
-  Rng rng(11);
-  for (size_t n = 0; n <= 70; ++n) {
-    std::vector<int8_t> a(n);
-    std::vector<float> b(n);
-    for (size_t i = 0; i < n; ++i) {
-      a[i] = static_cast<int8_t>(
-          static_cast<int>(rng.Uniform() * 255.0) - 127);
-      b[i] = static_cast<float>(rng.Uniform() * 2.0 - 1.0);
-    }
-    const float dispatched = DotI8Kernel(a.data(), b.data(), n);
-    const float portable = DotI8KernelPortable(a.data(), b.data(), n);
-    EXPECT_EQ(dispatched, portable) << "length " << n;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Snapshot formats.
 
 TEST(QuantizedSnapshotTest, FormatAndMemoryFootprint) {
   const auto f32 = MakeSnapshot(3, SnapshotFormat::kFloat32, 64, 16);
   const auto fp16 = MakeSnapshot(3, SnapshotFormat::kFloat16, 64, 16);
-  const auto int8 = MakeSnapshot(3, SnapshotFormat::kInt8, 64, 16);
 
   EXPECT_EQ(f32->format(), SnapshotFormat::kFloat32);
   EXPECT_EQ(fp16->format(), SnapshotFormat::kFloat16);
-  EXPECT_EQ(int8->format(), SnapshotFormat::kInt8);
 
   const size_t elems = 64u * 16u;
   EXPECT_EQ(f32->memory_bytes(), elems * sizeof(float));
   EXPECT_EQ(fp16->memory_bytes(), elems * sizeof(uint16_t));
-  // int8 payload + one float32 scale per row.
-  EXPECT_EQ(int8->memory_bytes(), elems * sizeof(int8_t) + 64u * sizeof(float));
 
-  // Quantized snapshots drop the float matrix — that is the footprint win.
+  // fp16 snapshots drop the float matrix — that is the footprint win.
   EXPECT_TRUE(fp16->embeddings().empty());
-  EXPECT_TRUE(int8->embeddings().empty());
 }
 
 TEST(QuantizedSnapshotTest, ChecksumsDifferAcrossFormats) {
   const auto f32 = MakeSnapshot(3, SnapshotFormat::kFloat32);
   const auto fp16 = MakeSnapshot(3, SnapshotFormat::kFloat16);
-  const auto int8 = MakeSnapshot(3, SnapshotFormat::kInt8);
   EXPECT_NE(f32->checksum(), fp16->checksum());
-  EXPECT_NE(f32->checksum(), int8->checksum());
-  EXPECT_NE(fp16->checksum(), int8->checksum());
   // Rebuilding from the same model reproduces the same checksum.
   EXPECT_EQ(MakeSnapshot(3, SnapshotFormat::kFloat16)->checksum(),
             fp16->checksum());
@@ -186,32 +162,6 @@ TEST(QuantizedSnapshotTest, Fp16ScoreErrorWithinBound) {
   }
 }
 
-TEST(QuantizedSnapshotTest, Int8ScoreErrorWithinBound) {
-  const int32_t locations = 200;
-  const int32_t dim = 32;
-  const auto exact = MakeSnapshot(5, SnapshotFormat::kFloat32, locations, dim);
-  const auto int8 = MakeSnapshot(5, SnapshotFormat::kInt8, locations, dim);
-
-  const std::vector<int32_t> history = {1, 17, 42, 99};
-  const std::vector<float> profile = exact->Profile(history);
-  const float l1 = L1Norm(profile);
-  std::vector<float> dequantized(static_cast<size_t>(dim));
-  for (int32_t l = 0; l < locations; ++l) {
-    // Recover the per-row scale from the dequantized row: the quantized
-    // payload holds multiples of the scale, and some coordinate hits ±127.
-    int8->DequantizeRow(l, dequantized);
-    float amax = 0.0f;
-    for (float v : dequantized) amax = std::max(amax, std::fabs(v));
-    const float scale = amax / 127.0f;
-    // Rounding error per element is ≤ scale/2 → per-row score error is
-    // ≤ (scale/2)·Σ|profile_i| plus float-summation slack.
-    const float bound = 0.5f * scale * l1 + 1e-5f;
-    const float s_exact = exact->ScoreRow(l, profile.data());
-    const float s_int8 = int8->ScoreRow(l, profile.data());
-    EXPECT_LE(std::fabs(s_int8 - s_exact), bound) << "row " << l;
-  }
-}
-
 TEST(QuantizedSnapshotTest, DequantizedRowsNearExactRows) {
   const int32_t dim = 16;
   const auto exact = MakeSnapshot(9, SnapshotFormat::kFloat32, 40, dim);
@@ -231,26 +181,26 @@ TEST(QuantizedSnapshotTest, DequantizedRowsNearExactRows) {
 
 TEST(QuantizedSnapshotTest, TopKOnQuantizedFormatsIsSane) {
   const auto exact = MakeSnapshot(13, SnapshotFormat::kFloat32, 100, 16);
-  const auto int8 = MakeSnapshot(13, SnapshotFormat::kInt8, 100, 16);
+  const auto fp16 = MakeSnapshot(13, SnapshotFormat::kFloat16, 100, 16);
 
   const std::vector<int32_t> history = {3, 50, 77};
   const auto exact_top = TopKScores(*exact, exact->Profile(history), 10);
-  const auto quant_top = TopKScores(*int8, int8->Profile(history), 10);
+  const auto fp16_top = TopKScores(*fp16, fp16->Profile(history), 10);
   ASSERT_EQ(exact_top.size(), 10u);
-  ASSERT_EQ(quant_top.size(), 10u);
+  ASSERT_EQ(fp16_top.size(), 10u);
   // Quantization perturbs scores within the tested bound; the top-10 sets
   // should still overlap heavily on a 100-row vocabulary.
   int overlap = 0;
-  for (const auto& q : quant_top) {
+  for (const auto& q : fp16_top) {
     for (const auto& e : exact_top) {
       if (q.location == e.location) ++overlap;
     }
   }
-  EXPECT_GE(overlap, 8) << "int8 top-10 diverged from exact top-10";
+  EXPECT_GE(overlap, 8) << "fp16 top-10 diverged from exact top-10";
 }
 
 TEST(QuantizedSnapshotTest, ReplicateIsDeepCopy) {
-  const auto original = MakeSnapshot(21, SnapshotFormat::kInt8, 30, 8);
+  const auto original = MakeSnapshot(21, SnapshotFormat::kFloat16, 30, 8);
   const auto replica = original->Replicate();
   ASSERT_NE(replica, nullptr);
   EXPECT_NE(replica.get(), original.get());
@@ -352,8 +302,13 @@ TEST(QuantizedSnapshotTest, ParseFormatSpellings) {
   EXPECT_EQ(ParseSnapshotFormat("float32").value(), SnapshotFormat::kFloat32);
   EXPECT_EQ(ParseSnapshotFormat("fp16").value(), SnapshotFormat::kFloat16);
   EXPECT_EQ(ParseSnapshotFormat("float16").value(), SnapshotFormat::kFloat16);
-  EXPECT_EQ(ParseSnapshotFormat("int8").value(), SnapshotFormat::kInt8);
   EXPECT_FALSE(ParseSnapshotFormat("bf16").ok());
+  // Any other spelling, int8 included, is refused with the supported list.
+  const auto refused = ParseSnapshotFormat("int8");
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.status().message().find("f32"), std::string::npos);
+  EXPECT_NE(refused.status().message().find("fp16"), std::string::npos);
   EXPECT_STREQ(FormatName(SnapshotFormat::kFloat16), "fp16");
 }
 

@@ -7,11 +7,11 @@
 // `--model` accepts a full model or an embeddings-only deployment
 // artifact. `--shards` runs the sharded engine (requests route by user
 // id; sessions and metrics are per-shard, STATS aggregates them).
-// `--format` stores the snapshot as f32 (exact, the default), fp16, or
-// int8; `--ivf` builds the candidate-pruning index at load and
-// `--nprobe` overrides its probe width (0 = the index default, which is
-// the recall-gated setting). One request per input line, one response
-// line per request:
+// `--format` stores the snapshot as f32 (exact, the default) or fp16 (any
+// other value is refused); `--ivf` builds the candidate-pruning index at
+// load and `--nprobe` overrides its probe width (0 = the index default,
+// which is the recall-gated setting). One request per input line, one
+// response line per request:
 //
 //   REC <user_id> <location_id> [k]   append a check-in to the user's
 //                                     session and recommend top-k
