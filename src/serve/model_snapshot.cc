@@ -325,19 +325,10 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::FromFile(
 std::vector<float> ModelSnapshot::Profile(
     std::span<const int32_t> recent) const {
   std::vector<float> profile(static_cast<size_t>(dim_), 0.0f);
-  if (format_ == SnapshotFormat::kFloat32) {
-    for (int32_t l : recent) {
-      const float* row = embeddings_.data() + static_cast<size_t>(l) * dim_;
-      for (int32_t d = 0; d < dim_; ++d) profile[d] += row[d];
-    }
-  } else {
-    std::vector<float> row(static_cast<size_t>(dim_));
-    for (int32_t l : recent) {
-      DequantizeRow(l, row);
-      for (int32_t d = 0; d < dim_; ++d) {
-        profile[static_cast<size_t>(d)] += row[static_cast<size_t>(d)];
-      }
-    }
+  std::vector<float> row(static_cast<size_t>(dim_));
+  for (int32_t l : recent) {
+    DequantizeRow(l, row);
+    for (size_t d = 0; d < row.size(); ++d) profile[d] += row[d];
   }
   float sq = 0.0f;
   for (float v : profile) sq += v * v;
@@ -364,23 +355,12 @@ std::vector<ScoredLocation> TopKScores(const ModelSnapshot& snapshot,
                                        std::span<const float> profile,
                                        int32_t k,
                                        std::span<const int32_t> exclude) {
-  const int32_t num_locations = snapshot.num_locations();
-  const int32_t dim = snapshot.dim();
-  if (k <= 0 || profile.size() != static_cast<size_t>(dim)) return {};
-
+  if (k <= 0 || profile.size() != static_cast<size_t>(snapshot.dim())) {
+    return {};
+  }
   TopKHeap heap(k, exclude);
-  if (snapshot.format() == SnapshotFormat::kFloat32) {
-    // Direct matrix walk, identical float ops and offer order to the
-    // original float32-only scan — this path is pinned bitwise.
-    const float* matrix = snapshot.embeddings().data();
-    for (int32_t l = 0; l < num_locations; ++l) {
-      const float* row = matrix + static_cast<size_t>(l) * dim;
-      heap.Offer(ScoredLocation{l, Dot(row, profile.data(), dim)});
-    }
-  } else {
-    for (int32_t l = 0; l < num_locations; ++l) {
-      heap.Offer(ScoredLocation{l, snapshot.ScoreRow(l, profile.data())});
-    }
+  for (int32_t l = 0; l < snapshot.num_locations(); ++l) {
+    heap.Offer(ScoredLocation{l, snapshot.ScoreRow(l, profile.data())});
   }
   return heap.Finish();
 }

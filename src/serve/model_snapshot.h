@@ -204,8 +204,9 @@ struct ScoredLocation {
 /// `exclude` (typically the user's current POI — a handful of entries,
 /// checked linearly) are skipped. Ties break toward the smaller id, the
 /// same deterministic order eval::Recommender uses. Returned highest
-/// first. Scoring goes through the snapshot's format kernel; on float32
-/// snapshots results are bitwise identical to the original exact scan.
+/// first. Every row is scored through ModelSnapshot::ScoreRow, in id
+/// order; on float32 snapshots results are bitwise identical to the
+/// original exact scan.
 std::vector<ScoredLocation> TopKScores(const ModelSnapshot& snapshot,
                                        std::span<const float> profile,
                                        int32_t k,
