@@ -2,7 +2,7 @@
 //
 //   serving_throughput [--locations=20000] [--dim=64] [--groups=50]
 //                      [--spread=0.08] [--users=5000]
-//                      [--k=10] [--shards=4] [--format=fp16] [--ivf=true]
+//                      [--k=10] [--shards=0] [--format=fp16] [--ivf=true]
 //                      [--nprobe=0] [--capacity_requests=30000]
 //                      [--duration_s=4] [--overload_s=1.5]
 //                      [--rate=0] [--overload_factor=3]
