@@ -231,8 +231,9 @@ TEST(ShardedEngineTest, BatchSubmissionSingleShardFastPath) {
 }
 
 // The rollout scenario the serving tier exists for: a fleet hot-swaps
-// between float32 and fp16 snapshots while 8 reader threads hammer it. Must be TSan-clean; every response must come from a coherent
-// snapshot (a version the publisher actually published).
+// between float32 and fp16 snapshots while 8 reader threads hammer it.
+// Must be TSan-clean; every response must come from a coherent snapshot
+// (a version the publisher actually published).
 TEST(ShardedEngineTest, CrossFormatHotSwapUnderConcurrentReaders) {
   const sgns::SgnsModel model = MakeModel(7, /*locations=*/80, /*dim=*/12);
   ShardedServingEngine engine(SmallShardedConfig(2));
@@ -260,7 +261,7 @@ TEST(ShardedEngineTest, CrossFormatHotSwapUnderConcurrentReaders) {
     });
   }
 
-  // Publisher: cycle f32 → fp16 snapshots of the same model.
+  // Publisher: alternate fp16 and f32 snapshots of the same model.
   const SnapshotFormat cycle[] = {SnapshotFormat::kFloat16,
                                   SnapshotFormat::kFloat32};
   for (uint64_t swap = 0; swap < 30; ++swap) {
